@@ -162,6 +162,7 @@ std::string DeltaEncoder::Encode(const service::SnapshotPtr& next,
   frame.shard_loads = next->shard_loads;
 
   bool full = last_ == nullptr;
+  std::uint64_t skipped = 0;
   if (!full) {
     // Snapshots are append-only by id and sorted: the previous rows
     // must be a (changed-in-place) prefix-by-id subset of the next.
@@ -175,7 +176,7 @@ std::string DeltaEncoder::Encode(const service::SnapshotPtr& next,
         if (RowChanged(old_rows[oi], row)) {
           frame.rows.push_back(row);
         } else {
-          ++stats_.rows_skipped;
+          ++skipped;
         }
         ++oi;
       } else if (oi < old_rows.size() && old_rows[oi].id < row.id) {
@@ -194,6 +195,7 @@ std::string DeltaEncoder::Encode(const service::SnapshotPtr& next,
     ++stats_.fulls;
   } else {
     ++stats_.deltas;
+    stats_.rows_skipped += skipped;  // a full frame elides nothing
   }
   stats_.rows_sent += frame.rows.size();
   last_ = next;
@@ -209,6 +211,7 @@ bool Subscription::Deliver(const service::SnapshotPtr& snapshot,
   bool full = false;
   // The encoder is only ever touched by this subscription's one pool
   // worker; no lock needed around it.
+  const DeltaEncoder::Stats before = encoder_.stats();
   std::string frame = encoder_.Encode(snapshot, &full);
   const std::size_t bytes = frame.size();
   {
@@ -236,6 +239,10 @@ bool Subscription::Deliver(const service::SnapshotPtr& snapshot,
     metrics->frames_sent->Increment();
     metrics->bytes_sent->Increment(bytes);
     (full ? metrics->full_frames : metrics->delta_frames)->Increment();
+    const DeltaEncoder::Stats& after = encoder_.stats();
+    metrics->delta_rows_sent->Increment(after.rows_sent - before.rows_sent);
+    metrics->delta_rows_skipped->Increment(after.rows_skipped -
+                                           before.rows_skipped);
   }
   return true;
 }
@@ -316,7 +323,13 @@ void SubscriberPool::Stop() {
   if (workers_.empty()) return;
   // Unregister first: after this returns no publish will signal us.
   fanout_->UnregisterWaker(&waker_);
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under wake_mu_: a worker between its predicate check and its
+    // wait would otherwise miss both the flag and the notify, and the
+    // join below would hang.
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
   wake_cv_.notify_all();
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();

@@ -31,13 +31,11 @@ MultiQueryPi::MultiQueryPi(const sched::Rdbms* db,
       future_(future),
       tracer_(obs::GlobalTracer()),
       rate_(options.rate_alpha),
-      last_observed_now_(db->now()) {
-  // Queries already in the system are current load, not "arrivals";
-  // only queries submitted after the PI attaches feed the future model.
-  for (const auto& info : db_->AllQueries()) {
-    last_seen_id_ = std::max(last_seen_id_, info.id);
-  }
-}
+      last_observed_now_(db->now()),
+      // Queries already in the system are current load, not "arrivals";
+      // only queries submitted after the PI attaches feed the future
+      // model.
+      last_seen_id_(db->num_queries()) {}
 
 void MultiQueryPi::AttachLifecycleEvents(sched::Rdbms* db) {
   if (!MQPI_DCHECK(db == db_)) return;
@@ -97,12 +95,11 @@ void MultiQueryPi::OnQueryEvent(const sched::QueryEvent& event) {
   if (was_current) engine_load_epoch_ = db_load;
 }
 
-void MultiQueryPi::RebuildEngine(
-    const std::vector<sched::QueryInfo>& running) {
+void MultiQueryPi::RebuildEngine(const std::vector<QueryLoad>& running) {
   engine_.Clear();
-  for (const auto& info : running) {
-    const Status inserted = engine_.Insert(
-        info.id, info.estimated_remaining_cost, info.weight);
+  for (const QueryLoad& load : running) {
+    const Status inserted =
+        engine_.Insert(load.id, load.remaining_cost, load.weight);
     if (!inserted.ok()) {
       // Degenerate load (e.g. a non-positive weight) cannot be
       // mirrored; estimates stay on the simulator path, which reports
@@ -118,8 +115,8 @@ void MultiQueryPi::RebuildEngine(
   engine_load_epoch_ = db_->load_epoch();
 }
 
-void MultiQueryPi::SyncEngine(
-    const std::vector<sched::QueryInfo>& running) {
+void MultiQueryPi::SyncEngine(const std::vector<QueryLoad>& running,
+                              WorkUnits consumed, double total_weight) {
   const std::uint64_t db_structural = db_->structural_epoch();
   const std::uint64_t db_load = db_->load_epoch();
   if (!engine_synced_ || engine_structural_epoch_ != db_structural ||
@@ -132,12 +129,6 @@ void MultiQueryPi::SyncEngine(
   // Progress-only epoch gap: every running query consumed w_i * dx of
   // work, so the whole quantum is one offset bump at
   // dx = total consumed / total weight.
-  WorkUnits consumed = 0.0;
-  double total_weight = 0.0;
-  for (const auto& info : running) {
-    consumed += info.consumed_last_step;
-    total_weight += info.weight;
-  }
   if (consumed > 0.0 && total_weight > 0.0) {
     engine_.Advance(consumed / total_weight);
   }
@@ -146,18 +137,18 @@ void MultiQueryPi::SyncEngine(
   // speeds, or multi-quantum steps make the proportional bump inexact;
   // re-anchor any query whose mirrored cost left the tolerance band.
   // O(n) compares, O(log n) per repaired query.
-  for (const auto& info : running) {
-    auto mirrored = engine_.CostOf(info.id);
+  for (const QueryLoad& load : running) {
+    auto mirrored = engine_.CostOf(load.id);
     if (!mirrored.ok()) {
       RebuildEngine(running);  // membership mismatch — stale mirror
       return;
     }
-    const WorkUnits authoritative = info.estimated_remaining_cost;
+    const WorkUnits authoritative = load.remaining_cost;
     const double scale = std::max(1.0, std::abs(authoritative));
     if (std::abs(*mirrored - authoritative) >
         kDriftRelTolerance * scale) {
       const Status updated =
-          engine_.Update(info.id, authoritative, info.weight);
+          engine_.Update(load.id, authoritative, load.weight);
       if (!updated.ok()) {
         engine_synced_ = false;
         return;
@@ -187,14 +178,20 @@ void MultiQueryPi::ObserveStep() {
 
   // Accumulate consumption across running queries; emit one rate
   // sample per full window (per-quantum totals are too noisy because
-  // operators overshoot their budget by up to one probe).
-  const auto running = db_->RunningQueries();
+  // operators overshoot their budget by up to one probe). The same pass
+  // collects the running loads the engine sync below needs.
+  std::vector<QueryLoad>& running = running_loads_;
+  running.clear();
   WorkUnits consumed = 0.0;
+  double total_weight = 0.0;
   SimTime dt = 0.0;
-  for (const auto& info : running) {
+  db_->VisitRunning([&](const sched::QueryInfo& info) {
+    running.push_back(
+        QueryLoad{info.id, info.estimated_remaining_cost, info.weight});
     consumed += info.consumed_last_step;
+    total_weight += info.weight;
     dt = std::max(dt, info.last_step_duration);
-  }
+  });
   if (dt > 0.0 && !running.empty()) {
     idle_elapsed_ = 0.0;
     window_consumed_ += consumed;
@@ -232,18 +229,21 @@ void MultiQueryPi::ObserveStep() {
 
   // Primary engine sync point: structural drift rebuilds, a plain
   // quantum is one O(1) virtual-time bump (+ drift repair). Reuses the
-  // `running` infos already fetched for the rate measurement.
-  if (options_.enable_incremental) SyncEngine(running);
+  // running loads and sums already gathered for the rate measurement.
+  if (options_.enable_incremental) {
+    SyncEngine(running, consumed, total_weight);
+  }
 
-  // Detect arrivals (ids above the watermark) for the future model.
+  // Detect arrivals (ids above the watermark) for the future model:
+  // O(new arrivals), not O(history).
   if (future_ != nullptr) {
-    for (const auto& info : db_->AllQueries()) {
-      if (info.id > last_seen_id_) {
-        last_seen_id_ = info.id;
-        future_->ObserveArrival(info.arrival_time, info.optimizer_cost,
-                                info.weight);
-      }
-    }
+    db_->VisitQueries(
+        [&](const sched::QueryInfo& info) {
+          last_seen_id_ = info.id;
+          future_->ObserveArrival(info.arrival_time, info.optimizer_cost,
+                                  info.weight);
+        },
+        last_seen_id_);
     future_->ObserveElapsed(now);
   }
 }
@@ -284,15 +284,15 @@ const MultiQueryPi::BaseLoad& MultiQueryPi::SnapshotBaseLoad() const {
   if (base_valid_ && base_epoch_ == epoch) return base_;
   base_.running.clear();
   base_.queued.clear();
-  for (const auto& info : db_->RunningQueries()) {
+  db_->VisitRunning([this](const sched::QueryInfo& info) {
     base_.running.push_back(
         QueryLoad{info.id, info.estimated_remaining_cost, info.weight});
-  }
+  });
   if (options_.consider_admission_queue) {
-    for (const auto& info : db_->QueuedQueries()) {
+    db_->VisitQueued([this](const sched::QueryInfo& info) {
       base_.queued.push_back(
           QueryLoad{info.id, info.estimated_remaining_cost, info.weight});
-    }
+    });
   }
   base_epoch_ = epoch;
   base_valid_ = true;

@@ -267,10 +267,13 @@ class MultiQueryPi {
   void OnQueryEvent(const sched::QueryEvent& event);
   /// ObserveStep's engine maintenance: rebuilds on structural drift,
   /// else applies the quantum's progress as one O(1) virtual-time bump
-  /// plus targeted drift repair against the authoritative infos.
-  void SyncEngine(const std::vector<sched::QueryInfo>& running);
+  /// plus targeted drift repair against the authoritative loads.
+  /// `consumed` and `total_weight` are the running set's sums of
+  /// consumed_last_step and weight.
+  void SyncEngine(const std::vector<QueryLoad>& running, WorkUnits consumed,
+                  double total_weight);
   /// Full O(n log n) rebuild from the running set.
-  void RebuildEngine(const std::vector<sched::QueryInfo>& running);
+  void RebuildEngine(const std::vector<QueryLoad>& running);
   /// Whether a running query's estimate may be served from the engine
   /// right now (see EstimateRemainingTime).
   bool FastPathReady() const;
@@ -296,6 +299,8 @@ class MultiQueryPi {
   SimTime idle_elapsed_ = 0.0;  // consecutive idle time observed
   SimTime last_observed_now_ = 0.0;
   QueryId last_seen_id_ = 0;  // arrival detection watermark
+  // ObserveStep's running loads, reused across quanta.
+  std::vector<QueryLoad> running_loads_;
 
   // Memoization state. Mutable: estimate entry points are logically
   // const reads. The PI shares the Rdbms's external-synchronization

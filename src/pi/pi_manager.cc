@@ -37,26 +37,32 @@ PiManager::PiManager(sched::Rdbms* db, PiManagerOptions options,
 }
 
 void PiManager::Track(QueryId id) {
-  singles_.emplace(id, SingleQueryPi(id, options_.single_speed_alpha,
-                                     options_.single_speed_window));
-  traces_[id];  // create an empty trace
+  tracked_.try_emplace(id, Tracked{SingleQueryPi(id,
+                                                 options_.single_speed_alpha,
+                                                 options_.single_speed_window),
+                                   {}});
+}
+
+const SingleQueryPi* PiManager::FindSingle(QueryId id) const {
+  auto it = tracked_.find(id);
+  return it == tracked_.end() ? nullptr : &it->second.single;
 }
 
 Result<SimTime> PiManager::EstimateSingle(QueryId id) const {
-  auto it = singles_.find(id);
-  if (it == singles_.end()) return kUnknown;  // never tracked: no history
-  return it->second.EstimateRemainingTime();
+  const SingleQueryPi* single = FindSingle(id);
+  if (single == nullptr) return kUnknown;  // never tracked: no history
+  return single->EstimateRemainingTime();
 }
 
 double PiManager::SpeedOf(QueryId id) const {
-  auto it = singles_.find(id);
-  return it == singles_.end() ? 0.0 : it->second.speed();
+  const SingleQueryPi* single = FindSingle(id);
+  return single == nullptr ? 0.0 : single->speed();
 }
 
 const std::vector<EstimateSample>& PiManager::Trace(QueryId id) const {
   static const std::vector<EstimateSample> kEmpty;
-  auto it = traces_.find(id);
-  return it == traces_.end() ? kEmpty : it->second;
+  auto it = tracked_.find(id);
+  return it == tracked_.end() ? kEmpty : it->second.trace;
 }
 
 std::vector<PiManager::ProgressRow> PiManager::Report() const {
@@ -73,10 +79,9 @@ std::vector<PiManager::ProgressRow> PiManager::Report() const {
     const double total =
         info.completed_work + info.estimated_remaining_cost;
     row.fraction_done = total > 0.0 ? info.completed_work / total : 0.0;
-    auto it = singles_.find(info.id);
-    if (it != singles_.end()) {
-      row.speed = it->second.speed();
-      row.eta_single = it->second.EstimateRemainingTime();
+    if (const SingleQueryPi* single = FindSingle(info.id)) {
+      row.speed = single->speed();
+      row.eta_single = single->EstimateRemainingTime();
     }
     // Batched path: all rows probe one shared (cached) forecast.
     auto multi_eta = multi_.EstimateRemainingTime(info);
@@ -90,50 +95,52 @@ void PiManager::AfterStep() {
   MQPI_PROF_SITE(prof, "pi.after_step");
   obs::TraceSpan span(tracer_, "pi", "after_step");
   span.arg("t", db_->now());
-  span.arg("tracked", static_cast<double>(singles_.size()));
+  span.arg("tracked", static_cast<double>(tracked_.size()));
   multi_.ObserveStep();
   if (multi_blind_) multi_blind_->ObserveStep();
 
   const SimTime now = db_->now();
-  for (auto& [id, single] : singles_) {
-    auto info = db_->info(id);
-    if (info.ok()) single.Observe(*info, now);
+  const bool sample_due = now + kTimeEpsilon >= next_sample_;
+  if (sample_due) {
+    // Advance from the *scheduled* time, not from `now`: a quantum that
+    // overshoots the grid point would otherwise shift every later
+    // sample by the overshoot, and the drift compounds for the whole
+    // run. If the grid fell more than one interval behind (idle park,
+    // coarse quanta), jump to the next grid point after `now` instead
+    // of replaying a backlog of due samples.
+    do {
+      next_sample_ += options_.sample_interval;
+    } while (next_sample_ <= now + kTimeEpsilon);
   }
 
-  if (now + kTimeEpsilon < next_sample_) return;
-  // Advance from the *scheduled* time, not from `now`: a quantum that
-  // overshoots the grid point would otherwise shift every later sample
-  // by the overshoot, and the drift compounds for the whole run. If the
-  // grid fell more than one interval behind (idle park, coarse quanta),
-  // jump to the next grid point after `now` instead of replaying a
-  // backlog of due samples.
-  do {
-    next_sample_ += options_.sample_interval;
-  } while (next_sample_ <= now + kTimeEpsilon);
-
-  for (auto& [id, trace] : traces_) {
-    auto info = db_->info(id);
-    if (!info.ok()) continue;
-    if (info->state == sched::QueryState::kFinished ||
-        info->state == sched::QueryState::kAborted) {
-      continue;  // trace ends at completion
+  // One pass over the scheduler's records, merge-joined with the
+  // tracked set (both ascend by id). A query's sample reads only its
+  // own single-query PI, so sampling right after its observation gives
+  // the values an observe-all-then-sample-all pass would.
+  auto tracked = tracked_.begin();
+  db_->VisitQueries([&](const sched::QueryInfo& info) {
+    while (tracked != tracked_.end() && tracked->first < info.id) ++tracked;
+    if (tracked == tracked_.end() || tracked->first != info.id) return;
+    SingleQueryPi& single = tracked->second.single;
+    single.Observe(info, now);
+    if (!sample_due || info.state == sched::QueryState::kFinished ||
+        info.state == sched::QueryState::kAborted) {
+      return;  // trace ends at completion
     }
     EstimateSample sample;
     sample.time = now;
-    const auto& single = singles_.at(id);
-    const SimTime s = single.EstimateRemainingTime();
-    sample.single = s;
+    sample.single = single.EstimateRemainingTime();
     sample.speed = single.speed();
     // Batched path: every tracked query probes the same cached
     // forecast, so the whole sampling loop costs one simulation.
-    auto m = multi_.EstimateRemainingTime(*info);
+    auto m = multi_.EstimateRemainingTime(info);
     sample.multi = m.ok() ? *m : kUnknown;
     if (multi_blind_) {
-      auto mb = multi_blind_->EstimateRemainingTime(*info);
+      auto mb = multi_blind_->EstimateRemainingTime(info);
       sample.multi_no_queue = mb.ok() ? *mb : kUnknown;
     }
-    trace.push_back(sample);
-  }
+    tracked->second.trace.push_back(sample);
+  });
 }
 
 }  // namespace mqpi::pi

@@ -81,6 +81,10 @@ class PiManager {
   /// or not yet observed.
   double SpeedOf(QueryId id) const;
 
+  /// The single-query PI of a tracked query, nullptr if untracked — one
+  /// lookup for a caller that wants both its speed and its estimate.
+  const SingleQueryPi* FindSingle(QueryId id) const;
+
   /// Current multi-query estimate.
   Result<SimTime> EstimateMulti(QueryId id) const {
     return multi_.EstimateRemainingTime(id);
@@ -120,8 +124,13 @@ class PiManager {
   obs::Tracer* tracer_;  // the process-wide tracer, cached
   MultiQueryPi multi_;
   std::unique_ptr<MultiQueryPi> multi_blind_;
-  std::map<QueryId, SingleQueryPi> singles_;
-  std::map<QueryId, std::vector<EstimateSample>> traces_;
+  struct Tracked {
+    SingleQueryPi single;
+    std::vector<EstimateSample> trace;
+  };
+  /// Ascending id, like Rdbms::VisitQueries, so AfterStep merge-joins
+  /// the two in one pass.
+  std::map<QueryId, Tracked> tracked_;
   SimTime next_sample_ = 0.0;
 };
 

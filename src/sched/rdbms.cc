@@ -73,7 +73,7 @@ std::string_view QueryStateName(QueryState state) {
 
 struct Rdbms::Record {
   QueryId id;
-  engine::QuerySpec spec;
+  std::string label;  // QuerySpec::ToString(), rendered once at Submit
   Priority priority;
   QueryState state;
   SimTime arrival_time;
@@ -117,9 +117,9 @@ void Rdbms::Emit(QueryEventKind kind, const Record& record) {
   for (const auto& listener : event_listeners_) listener(event);
 }
 
-Rdbms::Record* Rdbms::Find(QueryId id) {
-  auto it = queries_.find(id);
-  return it == queries_.end() ? nullptr : it->second.get();
+const Rdbms::Record* Rdbms::Find(QueryId id) const {
+  if (id == 0 || id > queries_.size()) return nullptr;
+  return queries_[id - 1].get();
 }
 
 Result<QueryId> Rdbms::Submit(const engine::QuerySpec& spec,
@@ -129,8 +129,8 @@ Result<QueryId> Rdbms::Submit(const engine::QuerySpec& spec,
   if (!prepared.ok()) return prepared.status();
 
   auto record = std::make_unique<Record>();
-  record->id = next_id_++;
-  record->spec = spec;
+  record->id = queries_.size() + 1;
+  record->label = spec.ToString();
   record->priority = priority;
   record->state = QueryState::kQueued;
   record->arrival_time = clock_.now();
@@ -140,7 +140,7 @@ Result<QueryId> Rdbms::Submit(const engine::QuerySpec& spec,
 
   const QueryId id = record->id;
   Record* raw = record.get();
-  queries_.emplace(id, std::move(record));
+  queries_.push_back(std::move(record));
   admission_queue_.push_back(id);
   Emit(QueryEventKind::kSubmitted, *raw);
   AdmitFromQueue();
@@ -420,7 +420,7 @@ void Rdbms::StepOnce(SimTime dt) {
   if (options_.max_query_seconds > 0.0) {
     std::vector<QueryId> expired;
     for (QueryId id : running_) {
-      const Record& record = *queries_.at(id);
+      const Record& record = *Find(id);
       if (record.state == QueryState::kRunning &&
           record.start_time != kUnknown &&
           clock_.now() - record.start_time >
@@ -448,18 +448,13 @@ bool Rdbms::Idle() const {
   if (!admission_queue_.empty()) {
     // Pending aborted entries don't count.
     for (QueryId id : admission_queue_) {
-      auto it = queries_.find(id);
-      if (it != queries_.end() &&
-          it->second->state == QueryState::kQueued) {
-        return false;
-      }
+      if (Find(id)->state == QueryState::kQueued) return false;
     }
   }
   // Blocked queries hold slots but cannot make progress; they do not
   // prevent idleness on their own.
   for (QueryId id : running_) {
-    auto it = queries_.find(id);
-    if (it->second->state == QueryState::kRunning) return false;
+    if (Find(id)->state == QueryState::kRunning) return false;
   }
   return true;
 }
@@ -467,8 +462,7 @@ bool Rdbms::Idle() const {
 double Rdbms::EffectiveRate() const {
   int active = 0;
   for (QueryId id : running_) {
-    auto it = queries_.find(id);
-    if (it->second->state == QueryState::kRunning) ++active;
+    if (Find(id)->state == QueryState::kRunning) ++active;
   }
   return options_.processing_rate *
          perturbation_.AggregateRateFactor(active);
@@ -476,48 +470,76 @@ double Rdbms::EffectiveRate() const {
 
 QueryInfo Rdbms::MakeInfo(const Record& record) const {
   QueryInfo info;
-  info.id = record.id;
-  info.label = record.spec.ToString();
-  info.priority = record.priority;
-  info.weight = options_.weights.WeightOf(record.priority);
-  info.state = record.state;
-  info.arrival_time = record.arrival_time;
-  info.start_time = record.start_time;
-  info.finish_time = record.finish_time;
-  info.optimizer_cost = record.optimizer_cost;
-  info.completed_work = record.execution->completed_work();
-  info.estimated_remaining_cost = record.execution->EstimateRemainingCost();
-  info.consumed_last_step = record.consumed_last_step;
-  info.last_step_duration = record.last_step_duration;
-  info.rows_produced = record.execution->rows_produced();
-  if (const auto* account = record.execution->account()) {
-    info.pages_accessed = account->pages_accessed();
-    info.buffer_hits = account->buffer_hits();
-  }
+  FillInfo(record, &info);
   return info;
 }
 
+void Rdbms::FillInfo(const Record& record, QueryInfo* info) const {
+  info->id = record.id;
+  info->label = record.label;  // reuses the buffer across a Visit pass
+  info->priority = record.priority;
+  info->weight = options_.weights.WeightOf(record.priority);
+  info->state = record.state;
+  info->arrival_time = record.arrival_time;
+  info->start_time = record.start_time;
+  info->finish_time = record.finish_time;
+  info->optimizer_cost = record.optimizer_cost;
+  info->completed_work = record.execution->completed_work();
+  info->estimated_remaining_cost = record.execution->EstimateRemainingCost();
+  info->consumed_last_step = record.consumed_last_step;
+  info->last_step_duration = record.last_step_duration;
+  info->rows_produced = record.execution->rows_produced();
+  const auto* account = record.execution->account();
+  info->pages_accessed = account != nullptr ? account->pages_accessed() : 0;
+  info->buffer_hits = account != nullptr ? account->buffer_hits() : 0;
+}
+
 Result<QueryInfo> Rdbms::info(QueryId id) const {
-  auto it = queries_.find(id);
-  if (it == queries_.end()) {
+  const Record* record = Find(id);
+  if (record == nullptr) {
     return Status::NotFound("query " + std::to_string(id) + " unknown");
   }
-  return MakeInfo(*it->second);
+  return MakeInfo(*record);
+}
+
+void Rdbms::VisitRunning(const QueryVisitor& fn) const {
+  QueryInfo info;
+  for (QueryId id : running_) {
+    const Record& record = *Find(id);
+    if (record.state != QueryState::kRunning) continue;
+    FillInfo(record, &info);
+    fn(info);
+  }
+}
+
+void Rdbms::VisitQueued(const QueryVisitor& fn) const {
+  QueryInfo info;
+  for (QueryId id : admission_queue_) {
+    const Record& record = *Find(id);
+    if (record.state != QueryState::kQueued) continue;  // lazily-removed
+    FillInfo(record, &info);
+    fn(info);
+  }
+}
+
+void Rdbms::VisitQueries(const QueryVisitor& fn, QueryId after) const {
+  QueryInfo info;
+  for (std::size_t i = after; i < queries_.size(); ++i) {
+    FillInfo(*queries_[i], &info);
+    fn(info);
+  }
 }
 
 std::vector<QueryInfo> Rdbms::RunningQueries() const {
   std::vector<QueryInfo> out;
-  for (QueryId id : running_) {
-    const auto& record = *queries_.at(id);
-    if (record.state == QueryState::kRunning) out.push_back(MakeInfo(record));
-  }
+  VisitRunning([&out](const QueryInfo& info) { out.push_back(info); });
   return out;
 }
 
 std::vector<QueryInfo> Rdbms::BlockedQueries() const {
   std::vector<QueryInfo> out;
   for (QueryId id : running_) {
-    const auto& record = *queries_.at(id);
+    const Record& record = *Find(id);
     if (record.state == QueryState::kBlocked) out.push_back(MakeInfo(record));
   }
   return out;
@@ -526,14 +548,13 @@ std::vector<QueryInfo> Rdbms::BlockedQueries() const {
 Result<int> Rdbms::QueuePosition(QueryId id) const {
   int position = 0;
   for (QueryId queued : admission_queue_) {
-    auto it = queries_.find(queued);
-    if (it == queries_.end() || it->second->state != QueryState::kQueued) {
+    if (Find(queued)->state != QueryState::kQueued) {
       continue;  // lazily-removed abort
     }
     if (queued == id) return position;
     ++position;
   }
-  if (queries_.find(id) == queries_.end()) {
+  if (Find(id) == nullptr) {
     return Status::NotFound("query " + std::to_string(id) + " unknown");
   }
   return Status::FailedPrecondition("query " + std::to_string(id) +
@@ -542,19 +563,14 @@ Result<int> Rdbms::QueuePosition(QueryId id) const {
 
 std::vector<QueryInfo> Rdbms::QueuedQueries() const {
   std::vector<QueryInfo> out;
-  for (QueryId id : admission_queue_) {
-    const auto& record = *queries_.at(id);
-    if (record.state == QueryState::kQueued) out.push_back(MakeInfo(record));
-  }
+  VisitQueued([&out](const QueryInfo& info) { out.push_back(info); });
   return out;
 }
 
 std::vector<QueryInfo> Rdbms::AllQueries() const {
   std::vector<QueryInfo> out;
   out.reserve(queries_.size());
-  for (const auto& [id, record] : queries_) out.push_back(MakeInfo(*record));
-  std::sort(out.begin(), out.end(),
-            [](const QueryInfo& a, const QueryInfo& b) { return a.id < b.id; });
+  VisitQueries([&out](const QueryInfo& info) { out.push_back(info); });
   return out;
 }
 

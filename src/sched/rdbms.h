@@ -25,7 +25,7 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/priority.h"
@@ -202,14 +202,36 @@ class Rdbms {
 
   // ---- inspection -----------------------------------------------------------
 
+  // Per-quantum callers (drift repair, single-query PIs, the snapshot
+  // builder) use the Visit* passes below; info() and the vector
+  // accessors serve cold callers. Both read the same records, and a
+  // query's label is rendered once, at Submit.
+
   Result<QueryInfo> info(QueryId id) const;
   std::vector<QueryInfo> RunningQueries() const;   // excludes blocked
   std::vector<QueryInfo> BlockedQueries() const;
   std::vector<QueryInfo> QueuedQueries() const;    // admission-queue order
-  std::vector<QueryInfo> AllQueries() const;
+  std::vector<QueryInfo> AllQueries() const;       // ascending id
+
+  /// One pass over a query set without materializing it: `fn` sees one
+  /// QueryInfo per query, refilled in place between calls (so a pass
+  /// allocates at most one label buffer). The reference is valid only
+  /// for the duration of the call; `fn` may read the Rdbms but must not
+  /// mutate it.
+  using QueryVisitor = std::function<void(const QueryInfo&)>;
+  /// The running (unblocked) queries, in RunningQueries() order.
+  void VisitRunning(const QueryVisitor& fn) const;
+  /// The live admission-queue entries, in QueuedQueries() order.
+  void VisitQueued(const QueryVisitor& fn) const;
+  /// Every query with id > `after`, ascending — AllQueries() order.
+  /// Ids are dense from 1, so this costs O(ids visited).
+  void VisitQueries(const QueryVisitor& fn, QueryId after = 0) const;
 
   int num_running() const { return static_cast<int>(running_.size()); }
   int num_queued() const { return static_cast<int>(admission_queue_.size()); }
+  /// Queries ever submitted; the highest id handed out is the same
+  /// number (ids are dense from 1).
+  std::size_t num_queries() const { return queries_.size(); }
   bool Idle() const;
 
   /// 0-based position of a query among the live entries of the
@@ -256,7 +278,14 @@ class Rdbms {
   /// quiet, 0 for a stalled quantum).
   double ApplyStepFaults();
   QueryInfo MakeInfo(const Record& record) const;
-  Record* Find(QueryId id);
+  /// Overwrites every field of `*info` from `record`.
+  void FillInfo(const Record& record, QueryInfo* info) const;
+  /// The record of `id`, or nullptr for 0, kInvalidQueryId and ids
+  /// never handed out.
+  const Record* Find(QueryId id) const;
+  Record* Find(QueryId id) {
+    return const_cast<Record*>(std::as_const(*this).Find(id));
+  }
 
   const storage::Catalog* catalog_;
   RdbmsOptions options_;
@@ -272,10 +301,11 @@ class Rdbms {
   /// overshot the pool; repaid from the next quantum's capacity.
   WorkUnits system_carry_ = 0.0;
 
-  QueryId next_id_ = 1;
   std::uint64_t load_epoch_ = 0;
   std::uint64_t structural_epoch_ = 0;
-  std::unordered_map<QueryId, std::unique_ptr<Record>> queries_;
+  /// Every query ever submitted; query `id` lives at index id - 1, so
+  /// the next id is size() + 1.
+  std::vector<std::unique_ptr<Record>> queries_;
   std::vector<QueryId> running_;           // running + blocked hold slots
   std::deque<QueryId> admission_queue_;
   void Emit(QueryEventKind kind, const Record& record);

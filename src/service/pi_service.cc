@@ -553,9 +553,9 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
   std::unordered_map<QueryId, int> queue_position;
   {
     int position = 0;
-    for (const auto& info : db_->QueuedQueries()) {
+    db_->VisitQueued([&](const sched::QueryInfo& info) {
       queue_position.emplace(info.id, position++);
-    }
+    });
   }
 
   // Running-query estimates come from ONE batch call when the PI's
@@ -596,9 +596,9 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
     return *last_good;
   };
 
-  const auto infos = db_->AllQueries();  // sorted by id
-  snapshot->queries.reserve(infos.size());
-  for (const auto& info : infos) {
+  // One pass over the scheduler's records, ascending by id.
+  snapshot->queries.reserve(db_->num_queries());
+  db_->VisitQueries([&](const sched::QueryInfo& info) {
     QueryProgress query;
     query.id = info.id;
     auto owner = query_owner_.find(info.id);
@@ -615,7 +615,8 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
     const double total = info.completed_work + info.estimated_remaining_cost;
     query.fraction_done =
         total > 0.0 ? info.completed_work / total : 0.0;
-    query.speed = pis_->SpeedOf(info.id);
+    const pi::SingleQueryPi* single = pis_->FindSingle(info.id);
+    query.speed = single != nullptr ? single->speed() : 0.0;
 
     switch (info.state) {
       case sched::QueryState::kFinished:
@@ -639,9 +640,10 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
       }
       case sched::QueryState::kRunning: {
         LastGoodEta& good = last_good_eta_[info.id];
-        query.eta_single =
-            guard(&query, pis_->EstimateSingle(info.id).value_or(kUnknown),
-                  &good.single);
+        query.eta_single = guard(
+            &query,
+            single != nullptr ? single->EstimateRemainingTime() : kUnknown,
+            &good.single);
         // Merge-join against the batch view: both this loop and
         // batch.ids ascend by id, and only running rows appear in the
         // batch, so queued rows simply never match the cursor.
@@ -675,7 +677,7 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
         break;
     }
     snapshot->queries.push_back(std::move(query));
-  }
+  });
   return snapshot;
 }
 
@@ -905,7 +907,12 @@ void PiService::Start() {
 }
 
 void PiService::Stop() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under wake_mu_, or a ticker parking between its predicate check
+    // and its wait misses both the flag and the notify (lost wakeup).
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    stop_.store(true, std::memory_order_release);
+  }
   wake_cv_.notify_all();
   watchdog_cv_.notify_all();
   // Watchdog first: it may be mid-restart, manipulating the ticker
@@ -944,7 +951,11 @@ void PiService::StopTickerThread() {
   std::thread victim;
   {
     std::lock_guard<std::mutex> lock(ticker_mu_);
-    ticker_stop_.store(true, std::memory_order_release);
+    {
+      // Lock order ticker_mu_ -> wake_mu_ (nothing takes them reversed).
+      std::lock_guard<std::mutex> wake_lock(wake_mu_);  // see Stop()
+      ticker_stop_.store(true, std::memory_order_release);
+    }
     victim = std::move(ticker_);
     ticker_ = std::thread();
   }

@@ -618,6 +618,52 @@ TEST(SubscriptionShedTest, OverflowClearsQueueAndLeavesErrorGoodbye) {
   EXPECT_FALSE(subscription.Deliver(MakeSnapshot(9, {}), &metrics));
 }
 
+TEST(SubscriptionMetricsTest, DeltaRowCountersMatchTheFramesOnTheWire) {
+  service::MetricsRegistry registry;
+  NetMetrics metrics(&registry);
+  Subscription subscription(Subscription::Options{});
+
+  auto rows = std::vector<QueryProgress>{Row(1, 0.1), Row(2, 0.2),
+                                         Row(3, 0.3)};
+  std::vector<SnapshotPtr> sequence;
+  sequence.push_back(MakeSnapshot(1, rows));  // first contact: full, 3 rows
+  rows[1].fraction_done = 0.25;
+  sequence.push_back(MakeSnapshot(2, rows));  // delta: 1 sent, 2 skipped
+  sequence.push_back(MakeSnapshot(3, rows));  // delta: 0 sent, 3 skipped
+  rows[0].fraction_done = 0.15;
+  rows.push_back(Row(7, 0.0));
+  sequence.push_back(MakeSnapshot(4, rows));  // delta: 2 sent, 2 skipped
+  // Id 2 vanishes after row 1 was already compared unchanged: the full
+  // fallback sends every row and elides none.
+  sequence.push_back(
+      MakeSnapshot(5, {rows[0], rows[2], rows[3]}));  // full: 3 sent
+
+  std::uint64_t wire_sent = 0;
+  std::uint64_t wire_skipped = 0;
+  for (const SnapshotPtr& snapshot : sequence) {
+    ASSERT_TRUE(subscription.Deliver(snapshot, &metrics));
+    std::string bytes;
+    ASSERT_TRUE(subscription.TryPop(&bytes));
+    Frame decoded;
+    std::size_t consumed = 0;
+    Status error;
+    ASSERT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), kMaxPayloadBytes,
+                             &decoded, &consumed, &error),
+              DecodeResult::kFrame);
+    const auto& frame = std::get<SnapshotFrame>(decoded.body);
+    wire_sent += frame.rows.size();
+    if (decoded.header.type == FrameType::kSnapshotDelta) {
+      wire_skipped += frame.total_rows - frame.rows.size();
+    }
+  }
+  EXPECT_EQ(wire_sent, 9u);
+  EXPECT_EQ(wire_skipped, 7u);
+  EXPECT_EQ(metrics.delta_rows_sent->value(), wire_sent);
+  EXPECT_EQ(metrics.delta_rows_skipped->value(), wire_skipped);
+  EXPECT_EQ(metrics.full_frames->value(), 2u);
+  EXPECT_EQ(metrics.delta_frames->value(), 3u);
+}
+
 TEST(SubscriptionShedTest, PoolShedsStalledConsumerAndOthersKeepFlowing) {
   service::MetricsRegistry registry;
   NetMetrics metrics(&registry);

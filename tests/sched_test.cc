@@ -207,6 +207,26 @@ TEST_F(RdbmsTest, InfoForUnknownQuery) {
   EXPECT_TRUE(db.info(999).status().IsNotFound());
   EXPECT_TRUE(db.Abort(999).IsNotFound());
   EXPECT_TRUE(db.Block(999).IsNotFound());
+
+  // Records are indexed by id: pin both edges of the index and the
+  // never-valid ids on every id-taking entry point.
+  auto first = db.Submit(QuerySpec::Synthetic(50.0));
+  auto last = db.Submit(QuerySpec::Synthetic(50.0));
+  ASSERT_TRUE(first.ok() && last.ok());
+  for (const QueryId id : {QueryId{0}, kInvalidQueryId, *last + 1}) {
+    SCOPED_TRACE(id);
+    EXPECT_TRUE(db.info(id).status().IsNotFound());
+    EXPECT_TRUE(db.Abort(id).IsNotFound());
+    EXPECT_TRUE(db.Block(id).IsNotFound());
+    EXPECT_TRUE(db.Resume(id).IsNotFound());
+    EXPECT_TRUE(db.SetPriority(id, Priority::kHigh).IsNotFound());
+    EXPECT_TRUE(db.FastForward(id, 1.0).IsNotFound());
+    EXPECT_TRUE(db.QueuePosition(id).status().IsNotFound());
+  }
+  // The edges themselves resolve.
+  EXPECT_EQ(db.info(*first)->id, *first);
+  EXPECT_EQ(db.info(*last)->id, *last);
+  EXPECT_EQ(db.num_queries(), 2u);
 }
 
 TEST_F(RdbmsTest, IdleSemantics) {

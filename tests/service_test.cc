@@ -8,13 +8,17 @@
 // running.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/planner.h"
+#include "pi/pi_manager.h"
+#include "sched/rdbms.h"
 #include "service/metrics.h"
 #include "service/pi_service.h"
 #include "service/session.h"
@@ -441,6 +445,167 @@ TEST(ServiceManualTest, ZipfScheduleReplayDrivesServiceTraffic) {
   }
   EXPECT_EQ(service.metrics()->counter("service.scheduled_arrivals")->value(),
             schedule.size());
+  session->Close();
+}
+
+// ---- snapshot builder vs. the cold accessors --------------------------------
+
+// The snapshot builder takes one pass over the scheduler's records; the
+// reference here rebuilds every published row from the cold per-query
+// accessors (Rdbms::AllQueries/QueuePosition, PiManager::EstimateSingle/
+// SpeedOf, MultiQueryPi::EstimateRemainingTime) of a twin Rdbms +
+// PiManager driven through the same operations. The twin is
+// deterministic, so every field must match exactly — except a running
+// row's eta_multi on the fast path, which the service reads from the
+// batch kernel and the reference from the treap (a few ULP apart by
+// design, see batch_kernel.h).
+TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
+  storage::Catalog catalog;
+  storage::TpcrGenerator generator(
+      {.num_part_keys = 200, .matches_per_key = 4, .seed = 5});
+  ASSERT_TRUE(generator.BuildLineitem(&catalog).ok());
+  ASSERT_TRUE(generator.BuildPartTable(&catalog, "part_1", 2).ok());
+
+  auto options = ManualOptions();
+  options.rdbms.max_concurrent = 3;  // the last two submissions queue
+  PiService service(&catalog, options);
+  auto session = service.OpenSession("diff");
+
+  sched::Rdbms twin(&catalog, options.rdbms);
+  pi::PiManagerOptions twin_options = options.pi;
+  twin_options.auto_track = true;  // the service always auto-tracks
+  pi::PiManager twin_pis(&twin, twin_options);
+
+  const std::vector<QuerySpec> specs = {
+      QuerySpec::TpcrPartPrice("part_1"),  // 1: SQL, runs to completion
+      QuerySpec::Synthetic(300.0),         // 2: re-prioritised
+      QuerySpec::Synthetic(5000.0),        // 3: blocked, resumed, aborted
+      QuerySpec::Synthetic(200.0),         // 4: queued, then finishes
+      QuerySpec::Synthetic(150.0),         // 5: aborted while queued
+  };
+  for (const QuerySpec& spec : specs) {
+    auto id = session->Submit(spec);
+    auto twin_id = twin.Submit(spec);
+    ASSERT_TRUE(id.ok() && twin_id.ok());
+    ASSERT_EQ(*id, *twin_id);
+  }
+  const auto both = [&](Status served, Status reference) {
+    ASSERT_TRUE(served.ok()) << served.ToString();
+    ASSERT_TRUE(reference.ok()) << reference.ToString();
+  };
+
+  int fallback_quanta = 0;
+  int fast_quanta = 0;
+  for (int quantum = 1; quantum <= 600 && !twin.Idle(); ++quantum) {
+    switch (quantum) {
+      case 5:
+        both(session->Block(3), twin.Block(3));
+        break;
+      case 8:
+        both(session->SetPriority(2, Priority::kHigh),
+             twin.SetPriority(2, Priority::kHigh));
+        break;
+      case 10:
+        both(session->Abort(5), twin.Abort(5));
+        break;
+      case 15:
+        both(session->Resume(3), twin.Resume(3));
+        break;
+      case 25:
+        both(session->Abort(3), twin.Abort(3));
+        break;
+      default:
+        break;
+    }
+    ASSERT_TRUE(service.Advance(options.rdbms.quantum).ok());
+    twin.Step(options.rdbms.quantum);
+    twin_pis.AfterStep();
+    SCOPED_TRACE("quantum " + std::to_string(quantum));
+
+    const pi::MultiQueryPi& multi = *twin_pis.multi();
+    const bool fast_path = twin.num_queued() == 0;
+    if (twin.num_running() > 0) ++(fast_path ? fast_quanta : fallback_quanta);
+
+    const auto snapshot = service.snapshot();
+    const auto infos = twin.AllQueries();
+    ASSERT_EQ(snapshot->queries.size(), infos.size());
+    EXPECT_EQ(snapshot->sim_time, twin.now());
+    EXPECT_EQ(snapshot->measured_rate, multi.estimated_rate());
+    EXPECT_EQ(snapshot->quiescent_eta,
+              multi.QuiescentEta().value_or(kUnknown));
+    int running = 0;
+    int queued = 0;
+    int blocked = 0;
+    for (std::size_t i = 0; i < infos.size(); ++i) {
+      const sched::QueryInfo& info = infos[i];
+      const QueryProgress& row = snapshot->queries[i];
+      SCOPED_TRACE("query " + std::to_string(info.id));
+      const bool finished = info.state == sched::QueryState::kFinished;
+      const bool terminal =
+          finished || info.state == sched::QueryState::kAborted;
+      const double total =
+          info.completed_work + info.estimated_remaining_cost;
+
+      EXPECT_EQ(row.id, info.id);
+      EXPECT_EQ(row.session_id, session->id());
+      EXPECT_EQ(row.label, info.label);
+      EXPECT_EQ(row.label, specs[info.id - 1].ToString());
+      EXPECT_EQ(row.state, info.state);
+      EXPECT_EQ(row.priority, info.priority);
+      EXPECT_EQ(row.weight, info.weight);
+      EXPECT_EQ(row.completed_work, info.completed_work);
+      EXPECT_EQ(row.remaining_cost,
+                finished ? 0.0 : info.estimated_remaining_cost);
+      EXPECT_EQ(row.fraction_done,
+                finished ? 1.0
+                         : (total > 0.0 ? info.completed_work / total : 0.0));
+      EXPECT_EQ(row.speed, twin_pis.SpeedOf(info.id));
+      EXPECT_EQ(row.arrival_time, info.arrival_time);
+      EXPECT_EQ(row.start_time, info.start_time);
+      EXPECT_EQ(row.finish_time, info.finish_time);
+      EXPECT_EQ(row.queue_position,
+                twin.QueuePosition(info.id).value_or(-1));
+      EXPECT_FALSE(row.degraded);
+
+      SimTime eta_single = *twin_pis.EstimateSingle(info.id);
+      if (terminal) eta_single = 0.0;
+      if (info.state == sched::QueryState::kBlocked) {
+        eta_single = kInfiniteTime;
+      }
+      EXPECT_EQ(row.eta_single, eta_single);
+      const SimTime eta_multi = *multi.EstimateRemainingTime(info);
+      if (fast_path && info.state == sched::QueryState::kRunning) {
+        EXPECT_NEAR(row.eta_multi, eta_multi,
+                    1e-9 * std::max(1.0, std::abs(eta_multi)));
+      } else {
+        EXPECT_EQ(row.eta_multi, eta_multi);
+      }
+
+      running += info.state == sched::QueryState::kRunning;
+      queued += info.state == sched::QueryState::kQueued;
+      blocked += info.state == sched::QueryState::kBlocked;
+    }
+    EXPECT_EQ(snapshot->num_running, running);
+    EXPECT_EQ(snapshot->num_queued, queued);
+    EXPECT_EQ(snapshot->num_blocked, blocked);
+    if (HasFailure()) break;  // one quantum's diff is enough to debug
+  }
+
+  ASSERT_TRUE(twin.Idle());
+  const auto final_rows = service.snapshot()->queries;
+  ASSERT_EQ(final_rows.size(), specs.size());
+  EXPECT_EQ(final_rows[0].state, sched::QueryState::kFinished);
+  EXPECT_EQ(final_rows[1].state, sched::QueryState::kFinished);
+  EXPECT_EQ(final_rows[1].priority, Priority::kHigh);
+  EXPECT_EQ(final_rows[2].state, sched::QueryState::kAborted);
+  EXPECT_EQ(final_rows[3].state, sched::QueryState::kFinished);
+  EXPECT_EQ(final_rows[4].state, sched::QueryState::kAborted);
+  // Both estimator paths served published rows.
+  EXPECT_GT(fallback_quanta, 0);
+  EXPECT_GT(fast_quanta, 0);
+  MetricsRegistry* metrics = service.metrics();
+  EXPECT_GT(metrics->counter("pi.incremental_fallback")->value(), 0u);
+  EXPECT_GT(metrics->counter("pi.incremental_fast_path")->value(), 0u);
   session->Close();
 }
 
