@@ -1,10 +1,12 @@
 // Forecast-cache benchmark: per-quantum estimate cost with n tracked
 // queries sampled every quantum.
 //
-// Uncached, every per-query estimate runs its own O(n log n) analytic
-// simulation, so one quantum costs O(n^2 log n); with the epoch-keyed
-// cache the n probes collapse to one simulation plus O(1) index
-// lookups. The two paths must also produce byte-identical estimate
+// An admission cap below n keeps half the queries queued, so the
+// closed-form sweep cannot express the load and every estimate reaches
+// the analytic simulator. Uncached, every per-query estimate runs its
+// own O(n log n) simulation, so one quantum costs O(n^2 log n); with
+// the epoch-keyed cache the n probes collapse to one simulation plus
+// O(1) index lookups. The two paths must also produce byte-identical estimate
 // traces — the cache is exact, never heuristic — which this bench
 // cross-checks and fails hard on.
 //
@@ -46,14 +48,14 @@ RunResult RunScenario(int n, int quanta, bool cached) {
   options.processing_rate = 100.0;
   options.quantum = 0.05;
   options.cost_model.noise_sigma = 0.0;
+  // Queued work is simulator territory: every probe below takes the
+  // memoized-forecast path this bench isolates.
+  options.max_concurrent = n / 2;
   sched::Rdbms db(&catalog, options);
 
   pi::PiManagerOptions pm;
   pm.sample_interval = options.quantum;  // sample every quantum
   pm.multi.enable_forecast_cache = cached;
-  // This bench isolates the forecast cache; the incremental engine
-  // would bypass it entirely (see bench_incremental_forecast).
-  pm.multi.enable_incremental = false;
   pi::PiManager pis(&db, pm);
 
   std::vector<QueryId> ids;

@@ -2,6 +2,14 @@
 // core-pinned scheduler shards, measuring aggregate quanta/sec and the
 // publish -> merged-visibility latency of the coordinator.
 //
+// Quanta/sec sums quanta across shards, and each shard's quantum covers
+// only its n/N queries, so every figure is printed next to the honest
+// unit — live query-quanta/sec (quanta x queries per quantum) — and
+// the estimator path the quanta ran on, read from the shards'
+// pi.incremental_fast_path / pi.incremental_fallback counters
+// ("sweep", "simulator" or "mixed"). Synthetic(1e9) queries land past
+// the 1e7 s forecast horizon, so this load runs the simulator path.
+//
 // Why sharding wins even on few cores: one PiService's quantum costs
 // roughly f + n*u (fixed ticker overhead plus per-live-query work —
 // estimate-all, snapshot build). Split the same n queries across N
@@ -57,6 +65,8 @@ std::int64_t NowNs() {
 struct ScaleResult {
   int shards = 0;
   double quanta_per_sec = 0.0;
+  double query_quanta_per_sec = 0.0;  // quanta x live queries per quantum
+  const char* estimator_path = "none";
   std::uint64_t quanta = 0;
   std::uint64_t merges = 0;
   double merge_ns_mean = 0.0;
@@ -143,24 +153,25 @@ ScaleResult RunScale(int shards, int total_queries, double wall_s) {
     }
   });
 
-  // Settle, then measure a clean counter delta.
+  // Settle, then measure clean counter deltas.
+  const auto sum_counter = [&](const char* name) {
+    std::uint64_t total = 0;
+    for (int s = 0; s < shards; ++s) {
+      total += coordinator.shard_service(s)->metrics()->counter(name)->value();
+    }
+    return total;
+  };
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
-  std::uint64_t start_quanta = 0;
-  for (int s = 0; s < shards; ++s) {
-    start_quanta += coordinator.shard_service(s)
-                        ->metrics()
-                        ->counter("service.quanta_stepped")
-                        ->value();
-  }
+  const std::uint64_t start_quanta = sum_counter("service.quanta_stepped");
+  const std::uint64_t start_fast = sum_counter("pi.incremental_fast_path");
+  const std::uint64_t start_fallback = sum_counter("pi.incremental_fallback");
   const std::int64_t t0 = NowNs();
   std::this_thread::sleep_for(std::chrono::duration<double>(wall_s));
-  std::uint64_t end_quanta = 0;
-  for (int s = 0; s < shards; ++s) {
-    end_quanta += coordinator.shard_service(s)
-                      ->metrics()
-                      ->counter("service.quanta_stepped")
-                      ->value();
-  }
+  const std::uint64_t end_quanta = sum_counter("service.quanta_stepped");
+  const std::uint64_t fast = sum_counter("pi.incremental_fast_path") -
+                             start_fast;
+  const std::uint64_t fallback = sum_counter("pi.incremental_fallback") -
+                                 start_fallback;
   const double measured_s = double(NowNs() - t0) / 1e9;
 
   stop.store(true, std::memory_order_release);
@@ -174,6 +185,10 @@ ScaleResult RunScale(int shards, int total_queries, double wall_s) {
   result.shards = shards;
   result.quanta = end_quanta - start_quanta;
   result.quanta_per_sec = double(result.quanta) / measured_s;
+  result.query_quanta_per_sec = result.quanta_per_sec * per_shard;
+  result.estimator_path = fallback == 0 ? (fast == 0 ? "none" : "sweep")
+                          : fast == 0   ? "simulator"
+                                        : "mixed";
   result.merges = coordinator.metrics()->counter("coord.merges")->value();
   const service::Histogram* merge_ns =
       coordinator.metrics()->histogram("coord.merge_ns");
@@ -214,10 +229,12 @@ int Perfsmoke() {
   }
   std::printf(
       "perfsmoke OK: %.0f quanta/s at 4 shards vs %.0f at 1 shard (%.2fx) "
-      "with %d aggregate queries; merge mean %.0f ns, publish->merge p99 "
-      "%.2f ms\n",
+      "with %d aggregate queries; %.0f vs %.0f query-quanta/s (%s path); "
+      "merge mean %.0f ns, publish->merge p99 %.2f ms\n",
       four.quanta_per_sec, one.quanta_per_sec, ratio, queries,
-      four.merge_ns_mean, four.publish_to_merge_ms_p99);
+      four.query_quanta_per_sec, one.query_quanta_per_sec,
+      four.estimator_path, four.merge_ns_mean,
+      four.publish_to_merge_ms_p99);
   return 0;
 }
 
@@ -254,8 +271,9 @@ int main(int argc, char** argv) {
 
   std::printf("aggregate load: %d long-lived queries, %.1fs window\n\n",
               queries, wall_s);
-  std::printf("%7s %14s %9s %9s %14s %18s\n", "shards", "quanta/sec",
-              "speedup", "merges", "merge ns mean", "pub->merge p99 ms");
+  std::printf("%7s %14s %18s %10s %9s %9s %14s %18s\n", "shards",
+              "quanta/sec", "query-quanta/sec", "path", "speedup", "merges",
+              "merge ns mean", "pub->merge p99 ms");
   double baseline = 0.0;
   bool ok = true;
   for (std::size_t i = 0; i < std::size(scales); ++i) {
@@ -263,17 +281,20 @@ int main(int argc, char** argv) {
     if (scales[i] == 1) baseline = r.quanta_per_sec;
     const double speedup =
         r.quanta_per_sec / (baseline > 0.0 ? baseline : 1e-9);
-    std::printf("%7d %14.0f %8.2fx %9llu %14.0f %18.2f\n", r.shards,
-                r.quanta_per_sec, speedup,
+    std::printf("%7d %14.0f %18.0f %10s %8.2fx %9llu %14.0f %18.2f\n",
+                r.shards, r.quanta_per_sec, r.query_quanta_per_sec,
+                r.estimator_path, speedup,
                 static_cast<unsigned long long>(r.merges), r.merge_ns_mean,
                 r.publish_to_merge_ms_p99);
     std::fprintf(
         json,
-        "    {\"shards\": %d, \"quanta_per_sec\": %.0f, \"speedup\": "
-        "%.2f, \"merges\": %llu, \"merge_ns_mean\": %.0f, "
+        "    {\"shards\": %d, \"quanta_per_sec\": %.0f, "
+        "\"query_quanta_per_sec\": %.0f, \"estimator_path\": \"%s\", "
+        "\"speedup\": %.2f, \"merges\": %llu, \"merge_ns_mean\": %.0f, "
         "\"merge_ns_p99\": %.0f, \"publish_to_merge_ms_mean\": %.3f, "
         "\"publish_to_merge_ms_p99\": %.3f}%s\n",
-        r.shards, r.quanta_per_sec, speedup,
+        r.shards, r.quanta_per_sec, r.query_quanta_per_sec,
+        r.estimator_path, speedup,
         static_cast<unsigned long long>(r.merges), r.merge_ns_mean,
         r.merge_ns_p99, r.publish_to_merge_ms_mean,
         r.publish_to_merge_ms_p99,

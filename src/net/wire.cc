@@ -429,18 +429,25 @@ bool DecodeBody(WireReader*, UnsubscribeRequest*) { return true; }
 bool DecodeBody(WireReader*, UnsubscribeReply*) { return true; }
 bool DecodeBody(WireReader* r, WhatIfRequest* p) {
   if (!r->U64(&p->target)) return false;
+  // Each list is a count and then 8 bytes per id (16 per reweight);
+  // reject counts the remaining payload cannot possibly hold before
+  // allocating, so a short frame cannot make the server zero megabytes.
   std::uint32_t n = 0;
-  if (!r->U32(&n) || n > kMaxSnapshotRows) return false;
+  const auto count = [&](std::size_t entry_bytes) {
+    return r->U32(&n) && n <= kMaxSnapshotRows &&
+           static_cast<std::size_t>(n) * entry_bytes <= r->remaining();
+  };
+  if (!count(8)) return false;
   p->blocked.resize(n);
   for (auto& id : p->blocked) {
     if (!r->U64(&id)) return false;
   }
-  if (!r->U32(&n) || n > kMaxSnapshotRows) return false;
+  if (!count(8)) return false;
   p->aborted.resize(n);
   for (auto& id : p->aborted) {
     if (!r->U64(&id)) return false;
   }
-  if (!r->U32(&n) || n > kMaxSnapshotRows) return false;
+  if (!count(16)) return false;
   p->reweighted.resize(n);
   for (auto& [id, weight] : p->reweighted) {
     if (!r->U64(&id) || !r->F64(&weight)) return false;

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <new>
+#include <limits>
 
 #include "common/logging.h"
 #include "obs/profiler.h"
@@ -92,90 +91,113 @@ void BatchEstimateKernel::ForceScalar(bool force) {
   g_force_scalar.store(force, std::memory_order_relaxed);
 }
 
-void BatchEstimateKernel::Arena::Reset(std::size_t bytes) {
-  if (bytes > capacity_) {
-    // Grow-only with headroom: repopulation churn (a few queries in or
-    // out per epoch) must not reallocate every regeneration.
-    const std::size_t grown = std::max(bytes + bytes / 2, kAlign);
-    buf_.reset(static_cast<unsigned char*>(
-        ::operator new[](grown, std::align_val_t{kAlign})));
-    base_ = buf_.get();
-    capacity_ = grown;
+void BatchEstimateKernel::RepairOrder() {
+  // Insertion sort: O(n + inversions), and consecutive quanta leave
+  // only a handful. A reshuffle beyond a few moves per entry (a
+  // reweight storm, a fast-forward) hands over to std::sort instead.
+  const std::size_t n = order_.size();
+  const std::size_t budget = 8 * n + 64;
+  std::size_t moves = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    const Entry entry = order_[i];
+    std::size_t j = i;
+    while (j > 0 && FinishesBefore(entry, order_[j - 1])) {
+      order_[j] = order_[j - 1];
+      --j;
+      if (++moves > budget) {
+        order_[j] = entry;
+        std::sort(order_.begin(), order_.end(), FinishesBefore);
+        return;
+      }
+    }
+    order_[j] = entry;
   }
-  used_ = 0;
 }
 
-void BatchEstimateKernel::Regenerate(const IncrementalForecast& engine) {
-  MQPI_PROF_SITE(prof, "pi.batch_regen");
-  const std::size_t n = engine.size();
-  // One carve plan for every column; Reset guarantees the whole plan
-  // fits before any pointer is handed out (Carve never grows).
-  const std::size_t doubles = 5 * n;           // v, pw, pvw, eta_v, eta_id
-  const std::size_t ids = 2 * n;               // ids_v, ids_by_id
-  const std::size_t bytes = doubles * sizeof(double) +
-                            ids * sizeof(QueryId) +
-                            n * sizeof(std::uint32_t) + 8 * 64;
-  arena_.Reset(bytes);
-  v_ = arena_.Carve<double>(n);
-  prefix_w_ = arena_.Carve<double>(n);
-  prefix_vw_ = arena_.Carve<double>(n);
-  etas_v_ = arena_.Carve<double>(n);
-  etas_by_id_ = arena_.Carve<double>(n);
-  ids_v_ = arena_.Carve<QueryId>(n);
-  ids_by_id_ = arena_.Carve<QueryId>(n);
-  perm_ = arena_.Carve<std::uint32_t>(n);
-  n_ = n;
-
-  // In-order export: finish order, absolute thresholds. Weights land
-  // in prefix_w_ and are folded into running sums in place.
-  engine.ExportSorted(ids_v_, v_, prefix_w_);
-  double sum_w = 0.0;
-  double sum_vw = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double w = prefix_w_[i];
-    sum_w += w;
-    sum_vw += v_[i] * w;
-    prefix_w_[i] = sum_w;
-    prefix_vw_[i] = sum_vw;
-  }
-  total_w_ = sum_w;
-
-  // Id-order view: ids never change between regenerations, so the
-  // permutation is computed here once and each sweep only gathers.
-  for (std::size_t i = 0; i < n; ++i) {
-    perm_[i] = static_cast<std::uint32_t>(i);
-  }
-  std::sort(perm_, perm_ + n, [this](std::uint32_t a, std::uint32_t b) {
-    return ids_v_[a] < ids_v_[b];
-  });
-  for (std::size_t k = 0; k < n; ++k) {
-    ids_by_id_[k] = ids_v_[perm_[k]];
-  }
-
-  mirror_version_ = engine.structure_version();
-  mirror_valid_ = true;
-  ++regens_;
-}
-
-BatchEstimateKernel::Batch BatchEstimateKernel::EstimateAll(
-    const IncrementalForecast& engine, double rate) {
+void BatchEstimateKernel::Compute(const std::vector<QueryLoad>& loads,
+                                  double rate) {
   MQPI_PROF_SITE(prof, "pi.batch_estimate");
-  if (!MQPI_DCHECK(rate > 0.0)) return Batch{};
-  if (!mirror_valid_ || mirror_version_ != engine.structure_version()) {
-    Regenerate(engine);
-  } else {
-    ++hits_;
-  }
-  const std::size_t n = n_;
-  if (n == 0) return Batch{ids_by_id_, etas_by_id_, 0};
+  if (!MQPI_DCHECK(rate > 0.0)) rate = 1.0;
+  inv_rate_ = 1.0 / rate;
 
-  const double x = engine.offset();
-  const detail::BatchSweepFn sweep = ResolveSweep();
-  sweep(v_, prefix_w_, prefix_vw_, n, x, total_w_, 1.0 / rate, etas_v_);
-  for (std::size_t k = 0; k < n; ++k) {
-    etas_by_id_[k] = etas_v_[perm_[k]];
+  // Survivors keep their previous finish order and newcomers are set
+  // aside: mark each load at its id's previous rank, then compact the
+  // previous order in place (writes never overtake reads), re-reading
+  // every survivor's cost and weight from `loads`.
+  load_at_rank_.assign(order_.size(), kNoRank);
+  fresh_.clear();
+  QueryId max_id = 0;
+  for (std::uint32_t k = 0; k < loads.size(); ++k) {
+    const QueryId id = loads[k].id;
+    const std::uint32_t rank = RankOf(id);
+    if (rank == kNoRank) {
+      fresh_.push_back(EntryOf(loads[k]));
+    } else {
+      load_at_rank_[rank] = k;
+    }
+    max_id = std::max(max_id, id);
   }
-  return Batch{ids_by_id_, etas_by_id_, n};
+  std::size_t kept = 0;
+  for (std::size_t r = 0; r < order_.size(); ++r) {
+    rank_[order_[r].id] = kNoRank;
+    const std::uint32_t k = load_at_rank_[r];
+    if (k == kNoRank) continue;  // departed
+    order_[kept++] = EntryOf(loads[k]);
+  }
+  order_.resize(kept);
+  RepairOrder();
+  if (!fresh_.empty()) {
+    std::sort(fresh_.begin(), fresh_.end(), FinishesBefore);
+    merged_.resize(order_.size() + fresh_.size());
+    std::merge(order_.begin(), order_.end(), fresh_.begin(), fresh_.end(),
+               merged_.begin(), FinishesBefore);
+    order_.swap(merged_);
+  }
+
+  // Prefix fold in finish order, then the sweep at offset 0.
+  const std::size_t n = order_.size();
+  if (rank_.size() <= max_id) rank_.resize(max_id + 1, kNoRank);
+  v_.resize(n);
+  prefix_w_.resize(n);
+  prefix_c_.resize(n);
+  eta_.resize(n);
+  double sum_w = 0.0;
+  double sum_c = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Entry& entry = order_[i];
+    sum_w += entry.w;
+    sum_c += entry.c;
+    v_[i] = entry.v;
+    prefix_w_[i] = sum_w;
+    prefix_c_[i] = sum_c;
+    rank_[entry.id] = static_cast<std::uint32_t>(i);
+  }
+  ResolveSweep()(v_.data(), prefix_w_.data(), prefix_c_.data(), n, 0.0,
+                 sum_w, inv_rate_, eta_.data());
+}
+
+SimTime BatchEstimateKernel::QuiescentTime() const {
+  return prefix_c_.empty() ? 0.0 : prefix_c_.back() * inv_rate_;
+}
+
+SimTime BatchEstimateKernel::RemovalBenefit(QueryId target,
+                                            QueryId victim) const {
+  const std::uint32_t t = RankOf(target);
+  const std::uint32_t v = RankOf(victim);
+  if (!MQPI_DCHECK(t != kNoRank && v != kNoRank)) {
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return v <= t ? order_[v].c * inv_rate_
+                : order_[t].v * order_[v].w * inv_rate_;
+}
+
+std::vector<QueryLoad> BatchEstimateKernel::FinishOrder() const {
+  std::vector<QueryLoad> out;
+  out.reserve(order_.size());
+  for (const Entry& entry : order_) {
+    out.push_back(QueryLoad{entry.id, entry.c, entry.w});
+  }
+  return out;
 }
 
 }  // namespace mqpi::pi

@@ -1,50 +1,37 @@
-// BatchEstimateKernel: the estimate-all hot path on a flat
-// structure-of-arrays mirror of the incremental engine.
+// BatchEstimateKernel: the paper's Section 2.2 stage formula for every
+// running query in one exact pass.
 //
-// The treap (incremental_forecast.h) wins the asymptotics: one
-// RemainingTime probe is an O(log n) closed-form prefix query. But a
-// snapshot wants all n running estimates every quantum, and n pointer-
-// chasing tree walks lose the constants — cache misses, branches, and
-// per-query call overhead dominate. This kernel wins them back with a
-// flat mirror in predicted finish order (ascending (v, id), exactly
-// the treap's key order):
+// Under weighted fair sharing a query with remaining cost c and weight
+// w finishes in order of its remaining ratio v = c/w. With the running
+// set sorted by (v, id) and prefix sums over w and c, Abel-summing the
+// stage durations collapses query i's remaining time to
 //
-//   v[i]          absolute finish threshold X0 + c/w
-//   prefix_w[i]   sum of w[j], j <= i
-//   prefix_vw[i]  sum of v[j]*w[j], j <= i
+//   eta[i] = (prefix_c[i] + v[i] * (W - prefix_w[i])) / C
 //
-// against which the paper's Section 2.2 stage formula collapses to a
-// pure elementwise sweep — for every i in one O(n) pass:
+// — one elementwise sweep with no data dependence between lanes, so it
+// vectorizes (AVX2 on x86-64, NEON on aarch64, portable scalar
+// everywhere else; the implementation is picked once at runtime from
+// CPU features and can be pinned to scalar for differential tests).
 //
-//   eta[i] = max(0, prefix_vw[i] - X*prefix_w[i]
-//                   + (v[i] - X) * (W - prefix_w[i])) / C
+// Each Compute is fed the authoritative loads, so nothing is carried
+// that could drift from the scheduler's costs. What is carried is the
+// previous finish order: survivors keep their relative order,
+// newcomers are sorted and merged in, and an insertion sort repairs
+// the few inversions that non-proportional progress (operator
+// granularity, perturbed speeds) introduces between calls — O(n) on
+// the nearly-sorted input of consecutive quanta, O(n log n) worst case.
 //
-// with no data dependence between lanes, so the sweep vectorizes
-// (AVX2 on x86-64, NEON on aarch64, portable scalar everywhere else;
-// the implementation is picked once at runtime from CPU features and
-// can be pinned to scalar for differential tests).
+// A dense id -> finish-rank table makes every per-query read O(1): the
+// remaining time, the quiescent time sum(c)/C (Section 3.3), and the
+// Section 3.1 benefit of removing one query on another's remaining
+// time, which is exactly additive across victims because removal never
+// changes the survivors' ratios.
 //
-// Epoch discipline: the mirror is regenerated — one O(n) in-order
-// export from the treap plus one O(n) prefix pass and one O(n log n)
-// id-order sort — only when the engine's structure_version() moves
-// (insert/remove/update/renormalize). Pure progress never invalidates
-// it: Advance() only moves the global offset X, which enters the sweep
-// as a scalar read each call. In the steady state (progress-only
-// quanta) an estimate-all is therefore exactly one sweep over three
-// flat arrays: single-digit ns per query at n = 5000.
-//
-// Memory discipline: every array lives in one grow-only 64-byte-
-// aligned arena owned by the kernel. A regeneration carves the arena
-// afresh; a steady-state call allocates nothing at all, and no code
-// path allocates per query.
-//
-// Exactness contract: the sweep computes the same expression as
-// IncrementalForecast::RemainingTime over the same (v, w, X) state.
-// The flat prefix sums accumulate left-to-right while the treap
-// aggregates subtree-wise (and SIMD lanes may contract multiply-adds),
-// so answers agree to a few ULP, not bit-for-bit — the three-way
-// differential suite (simulator vs treap vs kernel) pins the
-// tolerance.
+// Exactness contract: answers equal StageProfile::Compute over the same
+// loads up to floating-point rounding (the prefix sums accumulate in
+// finish order, and SIMD lanes may contract multiply-adds); the
+// differential suite pins 1e-9 against StageProfile and 1e-6 against
+// the analytic simulator's event replay.
 //
 // Thread-safety: none; externally synchronized like the rest of the PI
 // stack (PiService serializes under its state lock). The ForceScalar
@@ -53,10 +40,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <vector>
 
 #include "common/units.h"
-#include "pi/incremental_forecast.h"
+#include "pi/stage_profile.h"
 
 namespace mqpi::pi {
 
@@ -90,31 +77,36 @@ void SweepNeon(const double* v, const double* prefix_w,
 
 class BatchEstimateKernel {
  public:
-  /// One estimate-all result. The arrays are views into the kernel's
-  /// arena, parallel and sorted by ascending query id (so a snapshot
-  /// builder walking ids in order merge-joins in O(n) with no hashing).
-  /// Valid until the next EstimateAll call or kernel destruction —
-  /// consume before releasing the external lock.
-  struct Batch {
-    const QueryId* ids = nullptr;
-    const SimTime* etas = nullptr;
-    std::size_t size = 0;
-  };
-
   BatchEstimateKernel() = default;
   BatchEstimateKernel(const BatchEstimateKernel&) = delete;
   BatchEstimateKernel& operator=(const BatchEstimateKernel&) = delete;
 
-  /// Estimates the remaining time of every query in `engine` at
-  /// aggregate rate `rate` (> 0) in one pass. Regenerates the SoA
-  /// mirror first if the engine's structure_version() moved; otherwise
-  /// the call is pure sweep + gather with zero allocation.
-  Batch EstimateAll(const IncrementalForecast& engine, double rate);
+  /// Sorts `loads` into finish order and sweeps every remaining time at
+  /// aggregate rate `rate` (> 0). The caller guarantees unique ids,
+  /// finite costs >= 0 and finite weights > 0. Ids index a dense table,
+  /// so they should be small (scheduler ids are dense from 1).
+  void Compute(const std::vector<QueryLoad>& loads, double rate);
 
-  /// Sweeps served from an already-current mirror, and mirror
-  /// regenerations. hits + regens == EstimateAll calls.
-  std::uint64_t hits() const { return hits_; }
-  std::uint64_t regens() const { return regens_; }
+  std::size_t size() const { return order_.size(); }
+
+  /// Remaining time of `id` in the last Compute, or nullptr if `id` was
+  /// not part of it. O(1).
+  const SimTime* Find(QueryId id) const {
+    const std::uint32_t rank = RankOf(id);
+    return rank == kNoRank ? nullptr : &eta_[rank];
+  }
+
+  /// When the last query finishes: sum(c) / C (0 if empty). O(1).
+  SimTime QuiescentTime() const;
+
+  /// Shortening of `target`'s remaining time if `victim` were removed:
+  /// c_victim / C when the victim finishes no later than the target,
+  /// v_target * w_victim / C otherwise (paper Section 3.1). Both must
+  /// be part of the last Compute (checked: NaN otherwise). O(1).
+  SimTime RemovalBenefit(QueryId target, QueryId victim) const;
+
+  /// The last Compute's loads in finish order (ascending (c/w, id)).
+  std::vector<QueryLoad> FinishOrder() const;
 
   /// The sweep implementation runtime dispatch resolves to right now
   /// ("avx2", "neon", or "scalar"), honoring ForceScalar.
@@ -125,56 +117,40 @@ class BatchEstimateKernel {
   static void ForceScalar(bool force);
 
  private:
-  /// Grow-only 64-byte-aligned bump allocator: one buffer, carved into
-  /// the SoA columns at regeneration, reused forever after.
-  class Arena {
-   public:
-    /// Ensures capacity for `bytes` and resets the carve cursor.
-    /// Invalidates previously carved pointers.
-    void Reset(std::size_t bytes);
-    template <typename T>
-    T* Carve(std::size_t count) {
-      used_ = (used_ + kAlign - 1) & ~(kAlign - 1);
-      T* p = reinterpret_cast<T*>(base_ + used_);
-      used_ += count * sizeof(T);
-      return p;
-    }
+  static constexpr std::uint32_t kNoRank = ~std::uint32_t{0};
 
-   private:
-    static constexpr std::size_t kAlign = 64;
-    struct Deleter {
-      void operator()(unsigned char* p) const {
-        ::operator delete[](p, std::align_val_t{kAlign});
-      }
-    };
-    std::unique_ptr<unsigned char[], Deleter> buf_;
-    unsigned char* base_ = nullptr;
-    std::size_t capacity_ = 0;
-    std::size_t used_ = 0;
+  struct Entry {
+    QueryId id;
+    double v;  // c / w, the finish key
+    double w;
+    double c;
   };
+  static Entry EntryOf(const QueryLoad& q) {
+    return Entry{q.id, q.remaining_cost / q.weight, q.weight,
+                 q.remaining_cost};
+  }
+  static bool FinishesBefore(const Entry& a, const Entry& b) {
+    if (a.v != b.v) return a.v < b.v;
+    return a.id < b.id;
+  }
 
-  void Regenerate(const IncrementalForecast& engine);
+  std::uint32_t RankOf(QueryId id) const {
+    return id < rank_.size() ? rank_[id] : kNoRank;
+  }
+  /// Re-sorts order_ (survivors in carried order, nearly sorted).
+  void RepairOrder();
 
-  Arena arena_;
-  // SoA columns, all arena-carved, all length n_. The *_v arrays are
-  // in finish order (the treap's key order); ids_by_id_/etas_by_id_
-  // are the id-sorted output view, connected by perm_ (finish-order
-  // index of the k-th smallest id).
-  double* v_ = nullptr;
-  double* prefix_w_ = nullptr;
-  double* prefix_vw_ = nullptr;
-  double* etas_v_ = nullptr;
-  QueryId* ids_v_ = nullptr;
-  QueryId* ids_by_id_ = nullptr;
-  double* etas_by_id_ = nullptr;
-  std::uint32_t* perm_ = nullptr;
-  std::size_t n_ = 0;
-  double total_w_ = 0.0;
-
-  bool mirror_valid_ = false;
-  std::uint64_t mirror_version_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t regens_ = 0;
+  std::vector<Entry> order_;   // finish order of the last Compute
+  std::vector<Entry> fresh_;   // ids new since the last Compute
+  std::vector<Entry> merged_;  // merge output, swapped into order_
+  std::vector<std::uint32_t> rank_;          // id -> index into order_
+  std::vector<std::uint32_t> load_at_rank_;  // previous rank -> load index
+  // Sweep columns, parallel to order_.
+  std::vector<double> v_;
+  std::vector<double> prefix_w_;
+  std::vector<double> prefix_c_;
+  std::vector<double> eta_;
+  double inv_rate_ = 0.0;
 };
 
 }  // namespace mqpi::pi

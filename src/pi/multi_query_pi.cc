@@ -13,16 +13,6 @@
 
 namespace mqpi::pi {
 
-namespace {
-// Drift-repair tolerance: an engine-mirrored remaining cost may differ
-// from the Rdbms's authoritative estimate by accumulated rounding of
-// the proportional-progress bumps; anything beyond a few hundred ULP
-// (operator-granularity overshoot, speed-multiplier perturbations,
-// multi-quantum steps) is re-anchored with an O(log n) Update so fast-
-// path estimates stay within float rounding of the simulator's.
-constexpr double kDriftRelTolerance = 1e-9;
-}  // namespace
-
 MultiQueryPi::MultiQueryPi(const sched::Rdbms* db,
                            MultiQueryPiOptions options,
                            FutureWorkloadModel* future)
@@ -37,127 +27,6 @@ MultiQueryPi::MultiQueryPi(const sched::Rdbms* db,
       // model.
       last_seen_id_(db->num_queries()) {}
 
-void MultiQueryPi::AttachLifecycleEvents(sched::Rdbms* db) {
-  if (!MQPI_DCHECK(db == db_)) return;
-  db->AddEventListener(
-      [this](const sched::QueryEvent& event) { OnQueryEvent(event); });
-}
-
-void MultiQueryPi::OnQueryEvent(const sched::QueryEvent& event) {
-  if (!options_.enable_incremental || !engine_synced_) return;
-  const std::uint64_t db_structural = db_->structural_epoch();
-  const std::uint64_t db_load = db_->load_epoch();
-  // Continuity proof: this event's Emit bumped the structural epoch by
-  // one, so the engine may absorb it as a delta only if it already
-  // reflected everything before it. A gap means a masked structural
-  // change (e.g. a surviving fast-forward, which re-anchors a cost
-  // without emitting an event) — resync instead of guessing.
-  if (engine_structural_epoch_ + 1 != db_structural) {
-    engine_synced_ = false;
-    return;
-  }
-  // The event also bumped the load epoch; if the engine was current on
-  // that axis too, it stays current after the delta. Mid-quantum
-  // events (a finish inside StepOnce, before ObserveStep applied the
-  // quantum's progress bump) leave the load epoch stale on purpose so
-  // estimates fall back until the bump lands.
-  const bool was_current = engine_load_epoch_ + 1 == db_load;
-
-  const sched::QueryInfo& info = event.info;
-  Status applied = Status::OK();
-  switch (event.kind) {
-    case sched::QueryEventKind::kSubmitted:
-      break;  // queued queries are not modelled; the gate handles them
-    case sched::QueryEventKind::kStarted:
-    case sched::QueryEventKind::kResumed:
-      applied = engine_.Insert(info.id, info.estimated_remaining_cost,
-                               info.weight);
-      break;
-    case sched::QueryEventKind::kBlocked:
-    case sched::QueryEventKind::kFinished:
-    case sched::QueryEventKind::kAborted:
-      // Aborts/finishes can target queued queries the engine never
-      // held; absence is not an error.
-      if (engine_.Contains(info.id)) applied = engine_.Remove(info.id);
-      break;
-    case sched::QueryEventKind::kPriorityChanged:
-      if (engine_.Contains(info.id)) {
-        applied = engine_.Update(info.id, info.estimated_remaining_cost,
-                                 info.weight);
-      }
-      break;
-  }
-  if (!applied.ok()) {
-    engine_synced_ = false;  // impossible delta — let ObserveStep rebuild
-    return;
-  }
-  engine_structural_epoch_ = db_structural;
-  if (was_current) engine_load_epoch_ = db_load;
-}
-
-void MultiQueryPi::RebuildEngine(const std::vector<QueryLoad>& running) {
-  engine_.Clear();
-  for (const QueryLoad& load : running) {
-    const Status inserted =
-        engine_.Insert(load.id, load.remaining_cost, load.weight);
-    if (!inserted.ok()) {
-      // Degenerate load (e.g. a non-positive weight) cannot be
-      // mirrored; estimates stay on the simulator path, which reports
-      // the condition properly.
-      engine_.Clear();
-      engine_synced_ = false;
-      return;
-    }
-  }
-  ++incremental_resyncs_;
-  engine_synced_ = true;
-  engine_structural_epoch_ = db_->structural_epoch();
-  engine_load_epoch_ = db_->load_epoch();
-}
-
-void MultiQueryPi::SyncEngine(const std::vector<QueryLoad>& running,
-                              WorkUnits consumed, double total_weight) {
-  const std::uint64_t db_structural = db_->structural_epoch();
-  const std::uint64_t db_load = db_->load_epoch();
-  if (!engine_synced_ || engine_structural_epoch_ != db_structural ||
-      engine_.size() != running.size()) {
-    RebuildEngine(running);
-    return;
-  }
-  if (engine_load_epoch_ == db_load) return;  // nothing moved
-
-  // Progress-only epoch gap: every running query consumed w_i * dx of
-  // work, so the whole quantum is one offset bump at
-  // dx = total consumed / total weight.
-  if (consumed > 0.0 && total_weight > 0.0) {
-    engine_.Advance(consumed / total_weight);
-  }
-
-  // Drift repair: operator-granularity overshoot, perturbed per-query
-  // speeds, or multi-quantum steps make the proportional bump inexact;
-  // re-anchor any query whose mirrored cost left the tolerance band.
-  // O(n) compares, O(log n) per repaired query.
-  for (const QueryLoad& load : running) {
-    auto mirrored = engine_.CostOf(load.id);
-    if (!mirrored.ok()) {
-      RebuildEngine(running);  // membership mismatch — stale mirror
-      return;
-    }
-    const WorkUnits authoritative = load.remaining_cost;
-    const double scale = std::max(1.0, std::abs(authoritative));
-    if (std::abs(*mirrored - authoritative) >
-        kDriftRelTolerance * scale) {
-      const Status updated =
-          engine_.Update(load.id, authoritative, load.weight);
-      if (!updated.ok()) {
-        engine_synced_ = false;
-        return;
-      }
-    }
-  }
-  engine_load_epoch_ = db_load;
-}
-
 void MultiQueryPi::ObserveStep() {
   const SimTime now = db_->now();
   const SimTime since = std::max(0.0, now - last_observed_now_);
@@ -168,9 +37,9 @@ void MultiQueryPi::ObserveStep() {
       // Forced invalidation is a correctness no-op by construction:
       // the next estimate recomputes from the same inputs and must be
       // byte-identical (the chaos soak cross-checks this).
-      cache_valid_ = false;
+      memo_valid_ = false;
       base_valid_ = false;
-      cache_forecast_.reset();
+      forecast_.reset();
     }
     const auto corrupt = fault_->Evaluate(fault::kPiWindowCorrupt);
     if (corrupt.fired) window_consumed_ = corrupt.value;
@@ -179,19 +48,18 @@ void MultiQueryPi::ObserveStep() {
   // Accumulate consumption across running queries; emit one rate
   // sample per full window (per-quantum totals are too noisy because
   // operators overshoot their budget by up to one probe). The same pass
-  // collects the running loads the engine sync below needs.
-  std::vector<QueryLoad>& running = running_loads_;
+  // takes the running half of this epoch's base load.
+  std::vector<QueryLoad>& running = base_.running;
   running.clear();
   WorkUnits consumed = 0.0;
-  double total_weight = 0.0;
   SimTime dt = 0.0;
   db_->VisitRunning([&](const sched::QueryInfo& info) {
     running.push_back(
         QueryLoad{info.id, info.estimated_remaining_cost, info.weight});
     consumed += info.consumed_last_step;
-    total_weight += info.weight;
     dt = std::max(dt, info.last_step_duration);
   });
+  TakeQueuedLoad();
   if (dt > 0.0 && !running.empty()) {
     idle_elapsed_ = 0.0;
     window_consumed_ += consumed;
@@ -225,13 +93,6 @@ void MultiQueryPi::ObserveStep() {
         idle_elapsed_ + kTimeEpsilon >= options_.rate_window) {
       rate_.Reset();
     }
-  }
-
-  // Primary engine sync point: structural drift rebuilds, a plain
-  // quantum is one O(1) virtual-time bump (+ drift repair). Reuses the
-  // running loads and sums already gathered for the rate measurement.
-  if (options_.enable_incremental) {
-    SyncEngine(running, consumed, total_weight);
   }
 
   // Detect arrivals (ids above the watermark) for the future model:
@@ -271,32 +132,44 @@ SimTime MultiQueryPi::SanitizeEta(SimTime eta) const {
   return eta;
 }
 
-MultiQueryPi::CacheKey MultiQueryPi::CurrentKey() const {
+const MultiQueryPi::CacheKey& MultiQueryPi::RefreshMemo() const {
   CacheKey key;
   key.load_epoch = db_->load_epoch();
   key.rate = estimated_rate();
   if (future_ != nullptr) key.future = future_->Current();
-  return key;
+  if (!options_.enable_forecast_cache || !memo_valid_ ||
+      !(key == memo_key_)) {
+    memo_key_ = key;
+    memo_valid_ = true;
+    sweep_checked_ = false;
+    forecast_done_ = false;
+    forecast_.reset();
+  }
+  return memo_key_;
 }
 
 const MultiQueryPi::BaseLoad& MultiQueryPi::SnapshotBaseLoad() const {
   const std::uint64_t epoch = db_->load_epoch();
   if (base_valid_ && base_epoch_ == epoch) return base_;
   base_.running.clear();
-  base_.queued.clear();
   db_->VisitRunning([this](const sched::QueryInfo& info) {
     base_.running.push_back(
         QueryLoad{info.id, info.estimated_remaining_cost, info.weight});
   });
+  TakeQueuedLoad();
+  return base_;
+}
+
+void MultiQueryPi::TakeQueuedLoad() const {
+  base_.queued.clear();
   if (options_.consider_admission_queue) {
     db_->VisitQueued([this](const sched::QueryInfo& info) {
       base_.queued.push_back(
           QueryLoad{info.id, info.estimated_remaining_cost, info.weight});
     });
   }
-  base_epoch_ = epoch;
+  base_epoch_ = db_->load_epoch();
   base_valid_ = true;
-  return base_;
 }
 
 AnalyticModelOptions MultiQueryPi::ModelOptions() const {
@@ -333,22 +206,20 @@ MultiQueryPi::ComputeBaseForecast() const {
 
 Result<std::shared_ptr<const ForecastResult>> MultiQueryPi::ForecastShared()
     const {
-  if (!options_.enable_forecast_cache) return ComputeBaseForecast();
-  const CacheKey key = CurrentKey();
-  if (cache_valid_ && key == cache_key_) {
+  RefreshMemo();
+  if (forecast_done_) {
     ++cache_hits_;
-    if (!cache_status_.ok()) return cache_status_;
-    return cache_forecast_;
+    if (!forecast_status_.ok()) return forecast_status_;
+    return forecast_;
   }
   auto forecast = ComputeBaseForecast();
-  cache_key_ = key;
-  cache_valid_ = true;
+  forecast_done_ = true;
   if (forecast.ok()) {
-    cache_status_ = Status::OK();
-    cache_forecast_ = *forecast;
+    forecast_status_ = Status::OK();
+    forecast_ = *forecast;
   } else {
-    cache_status_ = forecast.status();
-    cache_forecast_.reset();
+    forecast_status_ = forecast.status();
+    forecast_.reset();
   }
   return forecast;
 }
@@ -400,32 +271,41 @@ Result<ForecastResult> MultiQueryPi::ForecastWhatIf(
   return AnalyticSimulator::Forecast(running, queued, {}, ModelOptions());
 }
 
-bool MultiQueryPi::FastPathReady() const {
-  if (!options_.enable_incremental || !engine_synced_) return false;
-  // The engine must mirror the Rdbms exactly: structural epoch for the
-  // membership/weights, load epoch for the quantum's progress bump.
-  if (engine_structural_epoch_ != db_->structural_epoch() ||
-      engine_load_epoch_ != db_->load_epoch()) {
-    return false;
+bool MultiQueryPi::SweepReady() const {
+  const CacheKey& key = RefreshMemo();
+  if (!sweep_checked_) {
+    sweep_ready_ = ComputeSweep(key);
+    sweep_checked_ = true;
   }
+  return sweep_ready_;
+}
+
+bool MultiQueryPi::ComputeSweep(const CacheKey& key) const {
   // A non-empty admission queue means future admissions the closed
   // form does not model (the simulator replays them instead).
   if (options_.consider_admission_queue && db_->num_queued() > 0) {
     return false;
   }
+  const BaseLoad& base = SnapshotBaseLoad();
   // The simulator truncates at max_events / horizon; stay on its
-  // exact regime so both paths agree bit-for-bit (modulo rounding).
-  if (engine_.size() > options_.max_events) return false;
-  const SimTime quiescent = engine_.QuiescentTime(estimated_rate());
+  // exact regime so both paths agree (modulo rounding).
+  if (base.running.size() > options_.max_events) return false;
+  for (const QueryLoad& load : base.running) {
+    // Degenerate loads stay on the simulator path, which reports them.
+    if (!(load.weight > 0.0) || !(load.remaining_cost >= 0.0) ||
+        !std::isfinite(load.weight) || !std::isfinite(load.remaining_cost)) {
+      return false;
+    }
+  }
+  kernel_.Compute(base.running, key.rate);
+  const SimTime quiescent = kernel_.QuiescentTime();
   if (quiescent > options_.horizon) return false;
   // A virtual (Section 2.4) arrival due before the system quiesces
   // would join the modelled load mid-forecast — simulator territory.
-  if (future_ != nullptr) {
-    const FutureWorkloadEstimate est = future_->Current();
-    if (est.lambda > 0.0 && est.avg_cost > 0.0 &&
-        quiescent + kTimeEpsilon >= 1.0 / est.lambda) {
-      return false;
-    }
+  const FutureWorkloadEstimate& est = key.future;
+  if (est.lambda > 0.0 && est.avg_cost > 0.0 &&
+      quiescent + kTimeEpsilon >= 1.0 / est.lambda) {
+    return false;
   }
   return true;
 }
@@ -446,18 +326,17 @@ Result<SimTime> MultiQueryPi::EstimateRemainingTime(
       }
       break;
     case sched::QueryState::kRunning:
-      if (FastPathReady()) {
-        auto eta = engine_.RemainingTime(info.id, estimated_rate());
-        if (eta.ok()) {
+      if (SweepReady()) {
+        if (const SimTime* eta = kernel_.Find(info.id)) {
           ++incremental_fast_path_;
           return SanitizeEta(*eta);
         }
-        // Unknown to the mirror (shouldn't happen while synced) —
-        // the simulator path below reports it authoritatively.
+        // Not in this epoch's base load (shouldn't happen) — the
+        // simulator path below reports it authoritatively.
       }
       break;
   }
-  if (options_.enable_incremental) ++incremental_fallback_;
+  ++incremental_fallback_;
   auto forecast = ForecastShared();
   if (!forecast.ok()) return forecast.status();
   auto eta = (*forecast)->FinishTimeOf(info.id);
@@ -465,29 +344,27 @@ Result<SimTime> MultiQueryPi::EstimateRemainingTime(
   return SanitizeEta(*eta);
 }
 
-Result<MultiQueryPi::BatchEstimates> MultiQueryPi::EstimateAllRunning()
+Result<const BatchEstimateKernel*> MultiQueryPi::EstimateAllRunning()
     const {
-  if (!FastPathReady()) {
+  if (!SweepReady()) {
     return Status::FailedPrecondition(
-        "incremental fast path not ready; estimate per row");
+        "closed form cannot express the load; estimate per row");
   }
-  const BatchEstimateKernel::Batch batch =
-      kernel_.EstimateAll(engine_, estimated_rate());
-  // Every row is an engine-served estimate, same as n fast-path point
-  // queries would have been. No per-row SanitizeEta pass: the sweep
-  // clamps at zero and its inputs are finite (the engine validates
+  // Every row is a sweep-served estimate, same as n fast-path point
+  // reads would have been. No per-row SanitizeEta pass: the sweep
+  // clamps at zero and its inputs are finite (ComputeSweep validates
   // cost/weight, estimated_rate() is floored), so sanitization would
   // be a no-op on every row.
-  incremental_fast_path_ += batch.size;
-  return BatchEstimates{batch.ids, batch.etas, batch.size};
+  incremental_fast_path_ += kernel_.size();
+  return &kernel_;
 }
 
 Result<SimTime> MultiQueryPi::QuiescentEta() const {
-  if (FastPathReady()) {
+  if (SweepReady()) {
     ++incremental_fast_path_;
-    return SanitizeEta(engine_.QuiescentTime(estimated_rate()));
+    return SanitizeEta(kernel_.QuiescentTime());
   }
-  if (options_.enable_incremental) ++incremental_fallback_;
+  ++incremental_fallback_;
   auto forecast = ForecastShared();
   if (!forecast.ok()) return forecast.status();
   return SanitizeEta((*forecast)->quiescent_time());
@@ -496,41 +373,34 @@ Result<SimTime> MultiQueryPi::QuiescentEta() const {
 Result<SimTime> MultiQueryPi::EstimateWhatIf(const WhatIf& scenario,
                                              QueryId target) const {
   // Pure-removal scenarios compose from exactly additive point
-  // queries: removing victims never changes the survivors' finish
-  // thresholds, so r' = r - sum of per-victim benefits (§3.1).
-  // Reweights would reorder thresholds — those run the simulator.
-  if (scenario.reweighted.empty() && FastPathReady()) {
-    std::unordered_set<QueryId> removed;
-    removed.reserve(scenario.blocked.size() + scenario.aborted.size());
-    removed.insert(scenario.blocked.begin(), scenario.blocked.end());
-    removed.insert(scenario.aborted.begin(), scenario.aborted.end());
-    if (removed.count(target) == 0) {
-      const double rate = estimated_rate();
-      auto eta = engine_.RemainingTime(target, rate);
-      if (eta.ok()) {
-        SimTime remaining = *eta;
-        bool composed = true;
-        for (QueryId victim : removed) {
-          if (!engine_.Contains(victim)) continue;  // like ForecastWhatIf
-          auto benefit = engine_.RemovalBenefit(target, victim, rate);
-          if (!benefit.ok()) {
-            composed = false;
-            break;
-          }
-          remaining -= *benefit;
-        }
-        if (composed) {
-          ++incremental_fast_path_;
-          return SanitizeEta(std::max(0.0, remaining));
-        }
-      }
-      // Target or a victim eluded the mirror — simulate instead.
-    } else {
+  // reads: removing victims never changes the survivors' finish
+  // ratios, so r' = r - sum of per-victim benefits (§3.1). Reweights
+  // would reorder the survivors — those run the simulator.
+  if (scenario.reweighted.empty() && SweepReady()) {
+    std::vector<QueryId> removed(scenario.blocked);
+    removed.insert(removed.end(), scenario.aborted.begin(),
+                   scenario.aborted.end());
+    std::sort(removed.begin(), removed.end());
+    removed.erase(std::unique(removed.begin(), removed.end()),
+                  removed.end());
+    if (std::binary_search(removed.begin(), removed.end(), target)) {
       return Status::NotFound("query " + std::to_string(target) +
                               " not in forecast");
     }
+    if (const SimTime* eta = kernel_.Find(target)) {
+      SimTime remaining = *eta;
+      for (QueryId victim : removed) {
+        // Ids absent from the load are ignored, like ForecastWhatIf.
+        if (kernel_.Find(victim) != nullptr) {
+          remaining -= kernel_.RemovalBenefit(target, victim);
+        }
+      }
+      ++incremental_fast_path_;
+      return SanitizeEta(std::max(0.0, remaining));
+    }
+    // Target not running — the simulator reports it authoritatively.
   }
-  if (options_.enable_incremental) ++incremental_fallback_;
+  ++incremental_fallback_;
   auto forecast = ForecastWhatIf(scenario);
   if (!forecast.ok()) return forecast.status();
   auto eta = forecast->FinishTimeOf(target);

@@ -22,11 +22,6 @@ PiManager::PiManager(sched::Rdbms* db, PiManagerOptions options,
     multi_blind_ =
         std::make_unique<MultiQueryPi>(db, QueueBlind(options.multi), future);
   }
-  // Lifecycle subscription keeps the incremental engines in O(log n)
-  // lockstep with the scheduler (the manager already demands it
-  // outlives any stepping of `db`).
-  multi_.AttachLifecycleEvents(db);
-  if (multi_blind_) multi_blind_->AttachLifecycleEvents(db);
   if (options_.auto_track) {
     db->AddEventListener([this](const sched::QueryEvent& event) {
       if (event.kind == sched::QueryEventKind::kSubmitted) {

@@ -100,11 +100,8 @@ Rdbms::~Rdbms() = default;
 
 void Rdbms::Emit(QueryEventKind kind, const Record& record) {
   // Every lifecycle event changes the modelled load (who runs, who
-  // queues, with what weight), so it invalidates cached forecasts —
-  // and changes its *structure*, so incremental estimators must apply
-  // a delta or resynchronize.
+  // queues, with what weight), so it invalidates cached forecasts.
   ++load_epoch_;
-  ++structural_epoch_;
   if (tracer_->enabled()) {
     tracer_->Instant("query", TraceEventName(kind), record.id, "t",
                      clock_.now());
@@ -246,11 +243,8 @@ Status Rdbms::FastForward(QueryId id, WorkUnits work) {
   if (work < 0.0) {
     return Status::InvalidArgument("fast-forward work must be >= 0");
   }
-  // Remaining cost changes even when the query survives — and the
-  // change is off-stream (no event), so it is structural too: an
-  // incremental engine cannot absorb it as proportional progress.
+  // Remaining cost changes even when the query survives.
   ++load_epoch_;
-  ++structural_epoch_;
   record->execution->Advance(work);
   if (record->execution->done()) {
     record->state = QueryState::kFinished;
@@ -266,7 +260,6 @@ Status Rdbms::FastForward(QueryId id, WorkUnits work) {
 
 void Rdbms::SetAdmissionOpen(bool open) {
   ++load_epoch_;
-  ++structural_epoch_;
   admission_open_ = open;
   if (open) AdmitFromQueue();
 }

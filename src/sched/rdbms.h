@@ -187,25 +187,12 @@ class Rdbms {
   /// accessor.
   std::uint64_t load_epoch() const { return load_epoch_; }
 
-  /// Monotonic *structural* epoch: bumped only by transitions that
-  /// change the shape of the modelled load — lifecycle events (submit,
-  /// admit, block/resume, finish, abort, priority change),
-  /// fast-forwards (an off-stream cost change), and admission-gate
-  /// flips — but NOT by plain execution quanta. Together with
-  /// load_epoch() this splits "the world moved" into "progress only"
-  /// (load epoch moved, structural didn't: costs shrank proportionally
-  /// and the clock advanced) versus "structure changed" (who
-  /// runs/queues, with what weight or re-anchored cost). Incremental
-  /// estimators absorb the former as an O(1) virtual-time bump and
-  /// resynchronize only on the latter.
-  std::uint64_t structural_epoch() const { return structural_epoch_; }
-
   // ---- inspection -----------------------------------------------------------
 
-  // Per-quantum callers (drift repair, single-query PIs, the snapshot
-  // builder) use the Visit* passes below; info() and the vector
-  // accessors serve cold callers. Both read the same records, and a
-  // query's label is rendered once, at Submit.
+  // Per-quantum callers (the multi-query PI's base load, single-query
+  // PIs, the snapshot builder) use the Visit* passes below; info() and
+  // the vector accessors serve cold callers. Both read the same
+  // records, and a query's label is rendered once, at Submit.
 
   Result<QueryInfo> info(QueryId id) const;
   std::vector<QueryInfo> RunningQueries() const;   // excludes blocked
@@ -302,7 +289,6 @@ class Rdbms {
   WorkUnits system_carry_ = 0.0;
 
   std::uint64_t load_epoch_ = 0;
-  std::uint64_t structural_epoch_ = 0;
   /// Every query ever submitted; query `id` lives at index id - 1, so
   /// the next id is size() + 1.
   std::vector<std::unique_ptr<Record>> queries_;

@@ -116,9 +116,6 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
   forecast_cache_miss_ = metrics_.counter("pi.forecast_cache_miss");
   incremental_fast_path_ = metrics_.counter("pi.incremental_fast_path");
   incremental_fallback_ = metrics_.counter("pi.incremental_fallback");
-  incremental_resyncs_ = metrics_.counter("pi.incremental_resyncs");
-  batch_kernel_hits_ = metrics_.counter("pi.batch_kernel_hits");
-  batch_kernel_regens_ = metrics_.counter("pi.batch_kernel_regens");
   stale_snapshots_ = metrics_.counter("service.stale_snapshots");
   watchdog_restarts_ = metrics_.counter("service.watchdog_restarts");
   submits_shed_ = metrics_.counter("service.submits_shed");
@@ -558,20 +555,13 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
     });
   }
 
-  // Running-query estimates come from ONE batch call when the PI's
-  // incremental fast path is up: an O(n) flat-SoA sweep over all n
-  // rows (batch_kernel.h) instead of n O(log n) treap probes. The
-  // batch views are id-sorted, so the info loop below — also ascending
-  // by id — consumes them as an O(n) merge-join with no hashing. When
-  // the fast path is down the per-row calls fall back to the cached
-  // analytic forecast, so a snapshot still costs at most one
-  // simulation per epoch either way.
-  pi::MultiQueryPi::BatchEstimates batch;
-  {
-    auto batched = pis_->multi()->EstimateAllRunning();
-    if (batched.ok()) batch = *batched;
-  }
-  std::size_t batch_cursor = 0;
+  // Running-query estimates come from ONE batch call when the closed
+  // form expresses the load: the epoch's stage sweep (batch_kernel.h),
+  // which the row loop below reads by id in O(1). Otherwise the
+  // per-row calls fall back to the memoized analytic forecast, so a
+  // snapshot still costs at most one simulation per epoch either way.
+  const pi::BatchEstimateKernel* batch =
+      pis_->multi()->EstimateAllRunning().value_or(nullptr);
   snapshot->quiescent_eta =
       pis_->multi()->QuiescentEta().value_or(kUnknown);
 
@@ -644,19 +634,15 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
             &query,
             single != nullptr ? single->EstimateRemainingTime() : kUnknown,
             &good.single);
-        // Merge-join against the batch view: both this loop and
-        // batch.ids ascend by id, and only running rows appear in the
-        // batch, so queued rows simply never match the cursor.
-        while (batch_cursor < batch.size && batch.ids[batch_cursor] < info.id) {
-          ++batch_cursor;
-        }
-        SimTime multi_raw;
-        if (batch_cursor < batch.size && batch.ids[batch_cursor] == info.id) {
-          multi_raw = batch.etas[batch_cursor];
-        } else {
-          multi_raw =
-              pis_->multi()->EstimateRemainingTime(info).value_or(kUnknown);
-        }
+        // Only running rows appear in the batch, so queued rows
+        // always take the per-row call.
+        const SimTime* batched =
+            batch != nullptr ? batch->Find(info.id) : nullptr;
+        const SimTime multi_raw =
+            batched != nullptr
+                ? *batched
+                : pis_->multi()->EstimateRemainingTime(info).value_or(
+                      kUnknown);
         query.eta_multi = guard(&query, multi_raw, &good.multi);
         break;
       }
@@ -747,12 +733,6 @@ void PiService::RecordForecastCacheMetricsLocked() {
        &seen_incremental_fast_path_);
   sync(incremental_fallback_, pis_->multi()->incremental_fallback(),
        &seen_incremental_fallback_);
-  sync(incremental_resyncs_, pis_->multi()->incremental_resyncs(),
-       &seen_incremental_resyncs_);
-  sync(batch_kernel_hits_, pis_->multi()->batch_kernel_hits(),
-       &seen_batch_kernel_hits_);
-  sync(batch_kernel_regens_, pis_->multi()->batch_kernel_regens(),
-       &seen_batch_kernel_regens_);
 }
 
 void PiService::RecordDegradationMetricsLocked() {

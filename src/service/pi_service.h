@@ -459,9 +459,6 @@ class PiService {
   Counter* forecast_cache_miss_;
   Counter* incremental_fast_path_;
   Counter* incremental_fallback_;
-  Counter* incremental_resyncs_;
-  Counter* batch_kernel_hits_;
-  Counter* batch_kernel_regens_;
   Counter* stale_snapshots_;
   Counter* watchdog_restarts_;
   Counter* submits_shed_;
@@ -477,12 +474,9 @@ class PiService {
   // Last PI cache totals already published (guarded by state_mu_).
   std::uint64_t seen_cache_hits_ = 0;
   std::uint64_t seen_cache_misses_ = 0;
-  // Last PI incremental-engine totals already published (state_mu_).
+  // Last PI estimator-path totals already published (state_mu_).
   std::uint64_t seen_incremental_fast_path_ = 0;
   std::uint64_t seen_incremental_fallback_ = 0;
-  std::uint64_t seen_incremental_resyncs_ = 0;
-  std::uint64_t seen_batch_kernel_hits_ = 0;
-  std::uint64_t seen_batch_kernel_regens_ = 0;
   // Last PI degradation totals already published (guarded by state_mu_).
   std::uint64_t seen_rate_floor_hits_ = 0;
   std::uint64_t seen_corrupt_rate_samples_ = 0;

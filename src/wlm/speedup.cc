@@ -82,52 +82,6 @@ Result<SpeedupChoice> SingleQuerySpeedup::ChooseVictims(
   return choice;
 }
 
-Result<SpeedupChoice> SingleQuerySpeedup::ChooseVictims(
-    const pi::IncrementalForecast& engine, QueryId target, int h,
-    double rate) {
-  if (h < 1) return Status::InvalidArgument("h must be >= 1");
-  if (static_cast<std::size_t>(h) >= engine.size()) {
-    return Status::InvalidArgument(
-        "cannot block " + std::to_string(h) + " victims out of " +
-        std::to_string(engine.size()) + " queries (target must survive)");
-  }
-  if (!engine.Contains(target)) {
-    return Status::NotFound("target " + std::to_string(target) +
-                            " not among running queries");
-  }
-  struct Candidate {
-    QueryId id;
-    SimTime benefit;
-  };
-  std::vector<Candidate> candidates;
-  candidates.reserve(engine.size() - 1);
-  // One O(1) point query per candidate — no stage profile anywhere.
-  for (const pi::QueryLoad& q : engine.Entries()) {
-    if (q.id == target) continue;
-    auto benefit = engine.RemovalBenefit(target, q.id, rate);
-    if (!benefit.ok()) return benefit.status();
-    candidates.push_back(Candidate{q.id, *benefit});
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.benefit != b.benefit) return a.benefit > b.benefit;
-              return a.id < b.id;
-            });
-
-  SpeedupChoice choice;
-  for (int i = 0; i < h; ++i) {
-    choice.victims.push_back(candidates[static_cast<std::size_t>(i)].id);
-    choice.time_saved += candidates[static_cast<std::size_t>(i)].benefit;
-  }
-  return choice;
-}
-
-Result<SimTime> SingleQuerySpeedup::ExactBenefit(
-    const pi::IncrementalForecast& engine, QueryId target, QueryId victim,
-    double rate) {
-  return engine.RemovalBenefit(target, victim, rate);
-}
-
 Result<QueryId> SingleQuerySpeedup::ChooseVictimEqualPriority(
     const std::vector<QueryLoad>& running, QueryId target) {
   if (running.size() < 2) {

@@ -39,7 +39,6 @@
 
 #include "common/status.h"
 #include "common/units.h"
-#include "pi/incremental_forecast.h"
 #include "pi/stage_profile.h"
 
 namespace mqpi::wlm {
@@ -70,15 +69,6 @@ class SingleQuerySpeedup {
       const std::vector<pi::QueryLoad>& running, QueryId target, int h,
       double rate);
 
-  /// Same selection served from a live incremental engine: each
-  /// candidate's benefit is an O(1) point query (no stage profile is
-  /// built at all), so a fan-out over n candidates costs O(n log n)
-  /// where the ExactBenefit loop costs O(n^2 log n). Identical
-  /// victims and time_saved as the vector overload (cross-checked).
-  static Result<SpeedupChoice> ChooseVictims(
-      const pi::IncrementalForecast& engine, QueryId target, int h,
-      double rate);
-
   /// The equal-priority O(n) special case: returns one victim without
   /// sorting. All weights must be equal (checked).
   static Result<QueryId> ChooseVictimEqualPriority(
@@ -89,13 +79,6 @@ class SingleQuerySpeedup {
   static Result<SimTime> ExactBenefit(
       const std::vector<pi::QueryLoad>& running, QueryId target,
       QueryId victim, double rate);
-
-  /// Engine-backed ExactBenefit: the same value as the two-profile
-  /// computation (additivity is exact in-model, see the header note)
-  /// in O(log n) instead of O(n log n).
-  static Result<SimTime> ExactBenefit(const pi::IncrementalForecast& engine,
-                                      QueryId target, QueryId victim,
-                                      double rate);
 
   /// Predicts the effect of changing the target's weight (raising its
   /// priority) while everything else keeps running — the option the

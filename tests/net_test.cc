@@ -15,9 +15,11 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -329,6 +331,43 @@ TEST(WireFormatTest, CorruptPayloadsNeverCrash) {
     }
   }
   EXPECT_GT(errors, 0);  // corruption is actually being detected
+}
+
+// The largest single operator-new request made while armed: decoder
+// tests arm it around one decode to bound what a frame can allocate.
+std::atomic<bool> g_alloc_probe_armed{false};
+std::atomic<std::size_t> g_alloc_probe_largest{0};
+
+TEST(WireFormatTest, WhatIfCountsBeyondThePayloadAllocateNothing) {
+  // A 20-byte WHATIF payload (target + three empty list counts), then
+  // each count — and all three at once — claiming kMaxSnapshotRows
+  // entries. The decoder must reject the frame before sizing any list,
+  // not allocate and zero 32 MiB per list first.
+  const std::string good = EncodeFrame(7, FrameBody{WhatIfRequest{}});
+  ASSERT_EQ(good.size(), kFrameHeaderBytes + 20);
+  for (int claim = 0; claim <= 3; ++claim) {  // 3: every list at once
+    SCOPED_TRACE("claim " + std::to_string(claim));
+    std::string bad = good;
+    for (int list = 0; list < 3; ++list) {
+      if (claim != 3 && claim != list) continue;
+      const std::size_t at = kFrameHeaderBytes + 8 + 4 * std::size_t(list);
+      for (int byte = 0; byte < 4; ++byte) {  // little-endian u32
+        bad[at + std::size_t(byte)] =
+            static_cast<char>((kMaxSnapshotRows >> (8 * byte)) & 0xFF);
+      }
+    }
+    Frame decoded;
+    std::size_t consumed = 0;
+    Status error;
+    g_alloc_probe_largest.store(0);
+    g_alloc_probe_armed.store(true);
+    const DecodeResult r = TryDecodeFrame(bad.data(), bad.size(),
+                                          kMaxPayloadBytes, &decoded,
+                                          &consumed, &error);
+    g_alloc_probe_armed.store(false);
+    EXPECT_EQ(r, DecodeResult::kError);
+    EXPECT_LT(g_alloc_probe_largest.load(), std::size_t{1} << 16);
+  }
 }
 
 TEST(WireFormatTest, MultipleFramesDecodeInSequenceFromOneBuffer) {
@@ -1131,3 +1170,23 @@ TEST(NetChaosTest, ServerSurvivesAllNetFaultsUnderLoad) {
 
 }  // namespace
 }  // namespace mqpi::net
+
+// Global allocation hooks for the probe above; everything else passes
+// straight through to malloc/free (which GCC's new/delete pairing
+// warning cannot see through).
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+#endif
+void* operator new(std::size_t size) {
+  if (mqpi::net::g_alloc_probe_armed.load(std::memory_order_relaxed)) {
+    std::size_t seen =
+        mqpi::net::g_alloc_probe_largest.load(std::memory_order_relaxed);
+    while (size > seen && !mqpi::net::g_alloc_probe_largest
+                               .compare_exchange_weak(seen, size)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }

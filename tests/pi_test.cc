@@ -442,11 +442,10 @@ TEST(MultiQueryPiTest, CacheCoherentAcrossTransitions) {
   options.max_concurrent = 3;
   options.weights = PriorityWeights(1.0, 2.0, 4.0, 8.0);
   sched::Rdbms db(&catalog, options);
-  // Incremental estimates pinned off: this test is about the forecast
-  // cache, so every probe must reach the simulator path.
-  MultiQueryPi cached(&db, {.enable_incremental = false});
-  MultiQueryPi fresh(
-      &db, {.enable_forecast_cache = false, .enable_incremental = false});
+  // The admission cap queues work in the early epochs (simulator path)
+  // and drains it later (sweep path): both memos must be exact.
+  MultiQueryPi cached(&db, {});
+  MultiQueryPi fresh(&db, {.enable_forecast_cache = false});
 
   std::vector<QueryId> ids;
   for (int i = 0; i < 5; ++i) {
@@ -502,16 +501,16 @@ TEST(MultiQueryPiTest, CacheCoherentAcrossTransitions) {
 }
 
 TEST(PiManagerTest, OneForecastPerQuantumWhenSampling) {
-  // 20 tracked queries sampled every quantum, incremental engine
-  // pinned off: the batched estimate path must run one analytic
-  // simulation per quantum, not one per query (the old per-call path
-  // was O(n^2 log n) per quantum).
+  // 20 tracked queries sampled every quantum, half of them held in the
+  // admission queue so every estimate needs the simulator: the batched
+  // estimate path must run one analytic simulation per quantum, not one
+  // per query (the old per-call path was O(n^2 log n) per quantum).
   storage::Catalog catalog;
   auto options = CleanOptions();
+  options.max_concurrent = 10;
   sched::Rdbms db(&catalog, options);
   PiManagerOptions pm_options;
   pm_options.sample_interval = options.quantum;
-  pm_options.multi.enable_incremental = false;
   PiManager pis(&db, pm_options);
   sim::SimulationRunner runner(&db, &pis);
   for (int i = 0; i < 20; ++i) {
@@ -532,9 +531,9 @@ TEST(PiManagerTest, OneForecastPerQuantumWhenSampling) {
 }
 
 TEST(PiManagerTest, SteadyStateSamplingNeedsNoSimulationAtAll) {
-  // Same workload with the incremental engine on (the default): after
-  // the first quantum's rebuild, every running-query estimate is an
-  // O(log n) point query — zero simulations, zero cache traffic in
+  // Same workload without the admission cap: the closed form expresses
+  // the load, so every running-query estimate is an O(1) read of the
+  // epoch's stage sweep — zero simulations, zero cache traffic in
   // steady state.
   storage::Catalog catalog;
   auto options = CleanOptions();
@@ -549,9 +548,7 @@ TEST(PiManagerTest, SteadyStateSamplingNeedsNoSimulationAtAll) {
   runner.StepFor(0.5);  // 10 quanta, each samples all 20 queries
   const MultiQueryPi* multi = pis.multi();
   EXPECT_GE(multi->incremental_fast_path(), 20u * 9u);
-  // Early probes (before the first ObserveStep syncs the engine) may
-  // fall back, but steady state must not.
-  EXPECT_LE(multi->incremental_fallback(), 20u * 1u);
+  EXPECT_EQ(multi->incremental_fallback(), 0u);
   const std::uint64_t fallback_before = multi->incremental_fallback();
   const std::uint64_t misses_before = multi->forecast_cache_misses();
   const auto rows = pis.Report();

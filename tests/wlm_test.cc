@@ -264,8 +264,10 @@ TEST_P(SpeedupPropertyTest, CombinedBenefitIsExactlyAdditive) {
 }
 
 TEST_P(SpeedupPropertyTest, EngineOverloadMatchesVectorOverload) {
-  // The O(n log n) engine-backed fan-out must pick the same victims
-  // with the same combined benefit as the stage-profile overload.
+  // A fan-out over the stage sweep's O(1) removal benefits (the reads
+  // MultiQueryPi::EstimateWhatIf composes for pure-removal scenarios)
+  // must pick the same victims with the same combined benefit as the
+  // stage-profile overload.
   auto [seed, uniform] = GetParam();
   Rng rng(13000 + static_cast<std::uint64_t>(seed));
   const int n = static_cast<int>(rng.UniformInt(3, 12));
@@ -275,26 +277,38 @@ TEST_P(SpeedupPropertyTest, EngineOverloadMatchesVectorOverload) {
       loads[static_cast<std::size_t>(rng.UniformInt(0, n - 1))].id;
   const int h = static_cast<int>(rng.UniformInt(1, n - 1));
 
-  pi::IncrementalForecast engine;
+  pi::BatchEstimateKernel sweep;
+  sweep.Compute(loads, rate);
+  std::vector<std::pair<SimTime, QueryId>> candidates;
   for (const QueryLoad& q : loads) {
-    ASSERT_TRUE(engine.Insert(q.id, q.remaining_cost, q.weight).ok());
+    if (q.id != target) {
+      candidates.emplace_back(sweep.RemovalBenefit(target, q.id), q.id);
+    }
   }
-  auto from_engine =
-      SingleQuerySpeedup::ChooseVictims(engine, target, h, rate);
+  std::sort(candidates.begin(), candidates.end(),
+            [](const auto& a, const auto& b) {
+              if (a.first != b.first) return a.first > b.first;
+              return a.second < b.second;
+            });
+  std::vector<QueryId> victims;
+  SimTime time_saved = 0.0;
+  for (int i = 0; i < h; ++i) {
+    victims.push_back(candidates[static_cast<std::size_t>(i)].second);
+    time_saved += candidates[static_cast<std::size_t>(i)].first;
+  }
+
   auto from_loads = SingleQuerySpeedup::ChooseVictims(loads, target, h, rate);
-  ASSERT_TRUE(from_engine.ok());
   ASSERT_TRUE(from_loads.ok());
-  EXPECT_EQ(from_engine->victims, from_loads->victims);
-  EXPECT_NEAR(from_engine->time_saved, from_loads->time_saved,
+  EXPECT_EQ(victims, from_loads->victims);
+  EXPECT_NEAR(time_saved, from_loads->time_saved,
               1e-7 * (1.0 + from_loads->time_saved));
-  // Per-victim point queries agree with the two-profile computation.
-  for (QueryId victim : from_engine->victims) {
-    auto fast = SingleQuerySpeedup::ExactBenefit(engine, target, victim,
-                                                 rate);
+  // Per-victim reads agree with the two-profile computation.
+  for (QueryId victim : victims) {
     auto slow = SingleQuerySpeedup::ExactBenefit(loads, target, victim,
                                                  rate);
-    ASSERT_TRUE(fast.ok() && slow.ok());
-    EXPECT_NEAR(*fast, *slow, 1e-7 * (1.0 + std::fabs(*slow)))
+    ASSERT_TRUE(slow.ok());
+    EXPECT_NEAR(sweep.RemovalBenefit(target, victim), *slow,
+                1e-7 * (1.0 + std::fabs(*slow)))
         << "victim " << victim;
   }
 }

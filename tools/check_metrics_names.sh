@@ -56,9 +56,6 @@ pi.forecast_cache_hit
 pi.forecast_cache_miss
 pi.incremental_fast_path
 pi.incremental_fallback
-pi.incremental_resyncs
-pi.batch_kernel_hits
-pi.batch_kernel_regens
 recover.journal_records
 recover.journal_write_fails
 recover.checkpoints_written
