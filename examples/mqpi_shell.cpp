@@ -62,7 +62,6 @@ struct Shell {
     options.rdbms.processing_rate = 1000.0;
     options.rdbms.quantum = 0.1;
     options.rdbms.cost_model.noise_sigma = 0.15;
-    options.pi.sample_interval = 1.0;
     options.start_ticker = false;  // deterministic: we drive the clock
     db = std::make_unique<service::PiService>(&catalog, options);
     session = db->OpenSession("shell");

@@ -12,7 +12,7 @@ MultiQueryPiOptions QueueBlind(MultiQueryPiOptions options) {
 }
 }  // namespace
 
-PiManager::PiManager(sched::Rdbms* db, PiManagerOptions options,
+PiManager::PiManager(const sched::Rdbms* db, PiManagerOptions options,
                      FutureWorkloadModel* future)
     : db_(db),
       options_(options),
@@ -21,13 +21,6 @@ PiManager::PiManager(sched::Rdbms* db, PiManagerOptions options,
   if (options_.record_queue_blind_variant) {
     multi_blind_ =
         std::make_unique<MultiQueryPi>(db, QueueBlind(options.multi), future);
-  }
-  if (options_.auto_track) {
-    db->AddEventListener([this](const sched::QueryEvent& event) {
-      if (event.kind == sched::QueryEventKind::kSubmitted) {
-        Track(event.info.id);
-      }
-    });
   }
 }
 

@@ -1,7 +1,8 @@
-// PiManager: attaches progress indicators to an Rdbms and records
-// estimate traces over time — the instrumentation behind Figures 3-5
-// and 10 (estimated remaining time / observed speed as functions of
-// time for selected queries).
+// PiManager: the experiment harness. It attaches progress indicators
+// to an Rdbms and records estimate traces over time — the
+// instrumentation behind Figures 3-5 and 10 (estimated remaining time /
+// observed speed as functions of time for selected queries). The
+// service does not use it (see service/pi_service.h).
 //
 // Call AfterStep() once after every Rdbms::Step quantum; it feeds all
 // attached PIs and appends samples at the configured interval.
@@ -47,17 +48,12 @@ struct PiManagerOptions {
   double single_speed_alpha = 0.3;
   /// Sliding-window span for single-query speed samples (seconds).
   SimTime single_speed_window = 2.0;
-  /// Automatically Track() every query submitted after the manager
-  /// attaches (uses the Rdbms event stream).
-  bool auto_track = false;
 };
 
 class PiManager {
  public:
-  /// `db` and `future` (optional) must outlive the manager. The
-  /// manager registers an event listener on `db` when auto_track is
-  /// set, so it must also outlive any stepping of `db`.
-  PiManager(sched::Rdbms* db, PiManagerOptions options = {},
+  /// `db` and `future` (optional) must outlive the manager.
+  PiManager(const sched::Rdbms* db, PiManagerOptions options = {},
             FutureWorkloadModel* future = nullptr);
 
   /// Starts tracing a query. Idempotent; re-tracking an already

@@ -515,6 +515,15 @@ void Rdbms::VisitQueued(const QueryVisitor& fn) const {
   }
 }
 
+void Rdbms::VisitLive(const QueryVisitor& fn) const {
+  QueryInfo info;
+  for (QueryId id : running_) {
+    FillInfo(*Find(id), &info);
+    fn(info);
+  }
+  VisitQueued(fn);
+}
+
 void Rdbms::VisitQueries(const QueryVisitor& fn, QueryId after) const {
   QueryInfo info;
   for (std::size_t i = after; i < queries_.size(); ++i) {

@@ -210,6 +210,9 @@ class Rdbms {
   void VisitRunning(const QueryVisitor& fn) const;
   /// The live admission-queue entries, in QueuedQueries() order.
   void VisitQueued(const QueryVisitor& fn) const;
+  /// Every non-terminal query: the running set (blocked included),
+  /// then the live admission-queue entries in admission order.
+  void VisitLive(const QueryVisitor& fn) const;
   /// Every query with id > `after`, ascending — AllQueries() order.
   /// Ids are dense from 1, so this costs O(ids visited).
   void VisitQueries(const QueryVisitor& fn, QueryId after = 0) const;

@@ -25,9 +25,17 @@ double MsSince(WallClock::time_point start) {
       .count();
 }
 
-pi::PiManagerOptions ForceAutoTrack(pi::PiManagerOptions options) {
-  options.auto_track = true;
-  return options;
+/// The §2.4 arrival model; null when the prior disables forecasting.
+std::unique_ptr<pi::FutureWorkloadModel> MakeFutureModel(
+    const PiServiceOptions& options) {
+  if (options.future_prior_strength > 0.0) {
+    return std::make_unique<pi::FutureWorkloadModel>(
+        options.future_prior, options.future_prior_strength);
+  }
+  if (options.future_prior.lambda > 0.0) {
+    return std::make_unique<pi::FutureWorkloadModel>(options.future_prior);
+  }
+  return nullptr;
 }
 
 /// The scheduler stamps finish times at quantum ends and estimates are
@@ -57,24 +65,16 @@ std::vector<double> BiasBounds() {
 PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
     : options_(std::move(options)),
       db_(std::make_unique<sched::Rdbms>(catalog, options_.rdbms)),
+      future_(MakeFutureModel(options_)),
+      multi_(db_.get(), {}, future_.get()),
       fault_(options_.fault),
       auditor_(ResolveAuditorOptions(options_)),
       tracer_(obs::GlobalTracer()),
       flight_(options_.flight_recorder) {
   if (options_.enable_profiler) obs::GlobalProfiler()->set_enabled(true);
-  if (options_.future_prior.lambda > 0.0 ||
-      options_.future_prior_strength > 0.0) {
-    future_ = options_.future_prior_strength > 0.0
-                  ? std::make_unique<pi::FutureWorkloadModel>(
-                        options_.future_prior, options_.future_prior_strength)
-                  : std::make_unique<pi::FutureWorkloadModel>(
-                        options_.future_prior);
-  }
-  pis_ = std::make_unique<pi::PiManager>(
-      db_.get(), ForceAutoTrack(options_.pi), future_.get());
   if (fault_ != nullptr) {
     db_->SetFaultInjector(fault_);
-    pis_->SetFaultInjector(fault_);
+    multi_.SetFaultInjector(fault_);
   }
 
   // Accounting hook: runs under state_mu_ (every Rdbms mutation goes
@@ -90,16 +90,13 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
             event.kind == sched::QueryEventKind::kFinished;
         metrics_.counter(finished ? "queries.finished" : "queries.aborted")
             ->Increment();
-        auto owner = query_owner_.find(event.info.id);
-        if (owner != query_owner_.end()) {
-          auto session = sessions_.find(owner->second);
-          if (session != sessions_.end()) {
-            session->second.live.erase(event.info.id);
-            if (finished) {
-              ++session->second.finished;
-            } else {
-              ++session->second.aborted;
-            }
+        auto session = sessions_.find(OwnerLocked(event.info.id));
+        if (session != sessions_.end()) {
+          session->second.live.erase(event.info.id);
+          if (finished) {
+            ++session->second.finished;
+          } else {
+            ++session->second.aborted;
           }
         }
         break;
@@ -179,20 +176,59 @@ PiService::SessionState* PiService::FindSessionLocked(
   return it == sessions_.end() ? nullptr : &it->second;
 }
 
+std::uint64_t PiService::OwnerLocked(QueryId id) const {
+  if (id == 0 || id > queries_.size()) return 0;
+  return queries_[id - 1].session_id;
+}
+
 Status PiService::CheckOwnedLocked(std::uint64_t session_id,
                                    QueryId id) const {
-  auto it = query_owner_.find(id);
-  if (it == query_owner_.end()) {
+  const std::uint64_t owner = OwnerLocked(id);
+  if (owner == 0) {
     return Status::NotFound("query " + std::to_string(id) +
                             " unknown to the service");
   }
-  if (it->second != session_id) {
+  if (owner != session_id) {
     return Status::FailedPrecondition(
         "query " + std::to_string(id) + " belongs to session " +
-        std::to_string(it->second) + ", not session " +
+        std::to_string(owner) + ", not session " +
         std::to_string(session_id));
   }
   return Status::OK();
+}
+
+Result<QueryId> PiService::SubmitLocked(SessionState* session,
+                                        const engine::QuerySpec& spec,
+                                        Priority priority) {
+  if (options_.max_inflight_per_session > 0 &&
+      session->live.size() >= options_.max_inflight_per_session) {
+    metrics_.counter("service.submit_rejected")->Increment();
+    return Status::FailedPrecondition(
+        "session " + std::to_string(session->id) + " is at its inflight "
+        "cap of " + std::to_string(options_.max_inflight_per_session));
+  }
+  // Overload shedding: a bounded admission queue rejects rather than
+  // letting a flooded service grow its backlog (and its snapshot and
+  // forecast cost) without limit.
+  if (options_.max_queued_queries > 0 &&
+      static_cast<std::uint64_t>(db_->num_queued()) >=
+          options_.max_queued_queries) {
+    submits_shed_->Increment();
+    return Status::ResourceExhausted(
+        "admission queue is at its cap of " +
+        std::to_string(options_.max_queued_queries) + " queries");
+  }
+  auto submitted = db_->Submit(spec, priority);
+  if (!submitted.ok()) {
+    metrics_.counter("service.submit_errors")->Increment();
+    return submitted.status();
+  }
+  MQPI_DCHECK(*submitted == queries_.size() + 1);
+  queries_.push_back({session->id, pi::SingleQueryPi(*submitted)});
+  session->live.insert(*submitted);
+  ++session->submitted;
+  metrics_.counter("service.submits")->Increment();
+  return submitted;
 }
 
 Result<QueryId> PiService::SessionSubmit(std::uint64_t session_id,
@@ -208,34 +244,9 @@ Result<QueryId> PiService::SessionSubmit(std::uint64_t session_id,
     if (session == nullptr) {
       return Status::FailedPrecondition("session closed");
     }
-    if (options_.max_inflight_per_session > 0 &&
-        session->live.size() >= options_.max_inflight_per_session) {
-      metrics_.counter("service.submit_rejected")->Increment();
-      return Status::FailedPrecondition(
-          "session " + std::to_string(session_id) + " is at its inflight "
-          "cap of " + std::to_string(options_.max_inflight_per_session));
-    }
-    // Overload shedding: a bounded admission queue rejects rather than
-    // letting a flooded service grow its backlog (and its snapshot and
-    // forecast cost) without limit.
-    if (options_.max_queued_queries > 0 &&
-        static_cast<std::uint64_t>(db_->num_queued()) >=
-            options_.max_queued_queries) {
-      submits_shed_->Increment();
-      return Status::ResourceExhausted(
-          "admission queue is at its cap of " +
-          std::to_string(options_.max_queued_queries) + " queries");
-    }
-    auto submitted = db_->Submit(spec, priority);
-    if (!submitted.ok()) {
-      metrics_.counter("service.submit_errors")->Increment();
-      return submitted.status();
-    }
+    auto submitted = SubmitLocked(session, spec, priority);
+    if (!submitted.ok()) return submitted.status();
     id = *submitted;
-    session->live.insert(id);
-    ++session->submitted;
-    query_owner_[id] = session_id;
-    metrics_.counter("service.submits")->Increment();
     recover::Event event;
     event.kind = recover::EventKind::kSubmit;
     event.session_id = session_id;
@@ -399,24 +410,26 @@ void PiService::SubmitDueArrivalsLocked() {
     arrivals_.pop();
     SessionState* session = FindSessionLocked(arrival.session_id);
     if (session == nullptr) continue;  // closed since scheduling
-    if (options_.max_queued_queries > 0 &&
-        static_cast<std::uint64_t>(db_->num_queued()) >=
-            options_.max_queued_queries) {
-      // The admission queue is full at the arrival's due time: shed it,
-      // same as a live Submit would have been.
-      submits_shed_->Increment();
-      continue;
-    }
-    auto submitted = db_->Submit(arrival.spec, arrival.priority);
-    if (!submitted.ok()) {
-      metrics_.counter("service.submit_errors")->Increment();
-      continue;
-    }
-    session->live.insert(*submitted);
-    ++session->submitted;
-    query_owner_[*submitted] = arrival.session_id;
-    metrics_.counter("service.submits")->Increment();
+    // An arrival the session cap or the queue bound refuses at its due
+    // time is dropped, counted as a live Submit's refusal would be.
+    (void)SubmitLocked(session, arrival.spec, arrival.priority);
   }
+}
+
+void PiService::ObservePisLocked() {
+  MQPI_PROF_SITE(prof, "pi.after_step");
+  obs::TraceSpan span(tracer_, "pi", "after_step");
+  const SimTime now = db_->now();
+  span.arg("t", now);
+  multi_.ObserveStep();
+  // Terminal queries need no observation: their rows publish ETA 0,
+  // and their speed no longer changes.
+  double live = 0.0;
+  db_->VisitLive([&](const sched::QueryInfo& info) {
+    queries_[info.id - 1].single.Observe(info, now);
+    ++live;
+  });
+  span.arg("live", live);
 }
 
 bool PiService::IdleLocked() const { return db_->Idle() && arrivals_.empty(); }
@@ -437,7 +450,7 @@ void PiService::StepAndPublish(SimTime dt) {
     }
     SubmitDueArrivalsLocked();
     db_->Step(dt);
-    pis_->AfterStep();
+    ObservePisLocked();
     delayed = fault_ != nullptr && fault_->enabled() &&
               fault_->ShouldFire(fault::kServicePublishDelay);
     if (!delayed) {
@@ -541,19 +554,11 @@ void PiService::RecordAccuracyMetrics(const obs::QueryAccuracy& report) {
   metrics_.counter("pi.queries_scored")->Increment();
 }
 
-std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
+std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() {
   MQPI_PROF_SITE(prof, "service.build_snapshot");
   auto snapshot = std::make_shared<ProgressSnapshot>();
   snapshot->sim_time = db_->now();
-  snapshot->measured_rate = pis_->multi()->estimated_rate();
-
-  std::unordered_map<QueryId, int> queue_position;
-  {
-    int position = 0;
-    db_->VisitQueued([&](const sched::QueryInfo& info) {
-      queue_position.emplace(info.id, position++);
-    });
-  }
+  snapshot->measured_rate = multi_.estimated_rate();
 
   // Running-query estimates come from ONE batch call when the closed
   // form expresses the load: the epoch's stage sweep (batch_kernel.h),
@@ -561,9 +566,8 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
   // per-row calls fall back to the memoized analytic forecast, so a
   // snapshot still costs at most one simulation per epoch either way.
   const pi::BatchEstimateKernel* batch =
-      pis_->multi()->EstimateAllRunning().value_or(nullptr);
-  snapshot->quiescent_eta =
-      pis_->multi()->QuiescentEta().value_or(kUnknown);
+      multi_.EstimateAllRunning().value_or(nullptr);
+  snapshot->quiescent_eta = multi_.QuiescentEta().value_or(kUnknown);
 
   // Publication guardrail: an ETA reaches readers as a finite,
   // non-negative, within-horizon number or as one of the two honest
@@ -573,7 +577,7 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
   // signature of a denormal-speed division). A non-credible value is
   // degraded to the query's last credible published ETA (kUnknown when
   // none exists yet), the row is flagged, and the event is counted.
-  const SimTime horizon = options_.pi.multi.horizon;
+  const SimTime horizon = pi::MultiQueryPiOptions{}.horizon;
   const auto guard = [&](QueryProgress* query, SimTime eta,
                          SimTime* last_good) {
     if (eta == kUnknown || eta == kInfiniteTime) return eta;  // sentinels
@@ -586,13 +590,14 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
     return *last_good;
   };
 
-  // One pass over the scheduler's records, ascending by id.
+  // One pass over the scheduler's records, ascending by id — the
+  // column's order too.
   snapshot->queries.reserve(db_->num_queries());
   db_->VisitQueries([&](const sched::QueryInfo& info) {
+    ServedQuery& served = queries_[info.id - 1];
     QueryProgress query;
     query.id = info.id;
-    auto owner = query_owner_.find(info.id);
-    if (owner != query_owner_.end()) query.session_id = owner->second;
+    query.session_id = served.session_id;
     query.label = info.label;
     query.state = info.state;
     query.priority = info.priority;
@@ -605,8 +610,7 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
     const double total = info.completed_work + info.estimated_remaining_cost;
     query.fraction_done =
         total > 0.0 ? info.completed_work / total : 0.0;
-    const pi::SingleQueryPi* single = pis_->FindSingle(info.id);
-    query.speed = single != nullptr ? single->speed() : 0.0;
+    query.speed = served.single.speed();
 
     switch (info.state) {
       case sched::QueryState::kFinished:
@@ -621,19 +625,10 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
         query.eta_single = kInfiniteTime;
         query.eta_multi = kInfiniteTime;
         break;
-      case sched::QueryState::kQueued: {
-        auto position = queue_position.find(info.id);
-        if (position != queue_position.end()) {
-          query.queue_position = position->second;
-        }
-        [[fallthrough]];
-      }
+      case sched::QueryState::kQueued:
       case sched::QueryState::kRunning: {
-        LastGoodEta& good = last_good_eta_[info.id];
-        query.eta_single = guard(
-            &query,
-            single != nullptr ? single->EstimateRemainingTime() : kUnknown,
-            &good.single);
+        query.eta_single = guard(&query, served.single.EstimateRemainingTime(),
+                                 &served.last_good_single);
         // Only running rows appear in the batch, so queued rows
         // always take the per-row call.
         const SimTime* batched =
@@ -641,13 +636,11 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
         const SimTime multi_raw =
             batched != nullptr
                 ? *batched
-                : pis_->multi()->EstimateRemainingTime(info).value_or(
-                      kUnknown);
-        query.eta_multi = guard(&query, multi_raw, &good.multi);
+                : multi_.EstimateRemainingTime(info).value_or(kUnknown);
+        query.eta_multi = guard(&query, multi_raw, &served.last_good_multi);
         break;
       }
     }
-    if (query.terminal()) last_good_eta_.erase(info.id);
 
     switch (info.state) {
       case sched::QueryState::kRunning:
@@ -663,6 +656,11 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() const {
         break;
     }
     snapshot->queries.push_back(std::move(query));
+  });
+  // Rows are dense by id, so queue positions land by index.
+  int position = 0;
+  db_->VisitQueued([&](const sched::QueryInfo& info) {
+    snapshot->queries[info.id - 1].queue_position = position++;
   });
   return snapshot;
 }
@@ -707,12 +705,12 @@ void PiService::SetPublishHook(PublishHook hook) {
 Result<SimTime> PiService::EstimateWhatIf(
     const pi::MultiQueryPi::WhatIf& scenario, QueryId target) {
   std::lock_guard<std::mutex> lock(state_mu_);
-  return pis_->multi()->EstimateWhatIf(scenario, target);
+  return multi_.EstimateWhatIf(scenario, target);
 }
 
 void PiService::RecordForecastCacheMetricsLocked() {
-  const std::uint64_t hits = pis_->multi()->forecast_cache_hits();
-  const std::uint64_t misses = pis_->multi()->forecast_cache_misses();
+  const std::uint64_t hits = multi_.forecast_cache_hits();
+  const std::uint64_t misses = multi_.forecast_cache_misses();
   if (!MQPI_DCHECK(hits >= seen_cache_hits_ &&
                    misses >= seen_cache_misses_)) {
     seen_cache_hits_ = hits;
@@ -729,23 +727,22 @@ void PiService::RecordForecastCacheMetricsLocked() {
     if (total > *seen) counter->Increment(total - *seen);
     *seen = total;
   };
-  sync(incremental_fast_path_, pis_->multi()->incremental_fast_path(),
+  sync(incremental_fast_path_, multi_.incremental_fast_path(),
        &seen_incremental_fast_path_);
-  sync(incremental_fallback_, pis_->multi()->incremental_fallback(),
+  sync(incremental_fallback_, multi_.incremental_fallback(),
        &seen_incremental_fallback_);
 }
 
 void PiService::RecordDegradationMetricsLocked() {
-  const pi::MultiQueryPi* multi = pis_->multi();
   const auto sync = [](Counter* counter, std::uint64_t total,
                        std::uint64_t* seen) {
     if (total > *seen) counter->Increment(total - *seen);
     *seen = total;
   };
-  sync(rate_floor_hits_, multi->rate_floor_hits(), &seen_rate_floor_hits_);
-  sync(corrupt_rate_samples_, multi->corrupt_rate_samples(),
+  sync(rate_floor_hits_, multi_.rate_floor_hits(), &seen_rate_floor_hits_);
+  sync(corrupt_rate_samples_, multi_.corrupt_rate_samples(),
        &seen_corrupt_rate_samples_);
-  sync(degraded_estimates_, multi->degraded_estimates(),
+  sync(degraded_estimates_, multi_.degraded_estimates(),
        &seen_degraded_estimates_);
   if (fault_ == nullptr) return;
   // Per-point fire counts, labeled by fault-point name. The catalog

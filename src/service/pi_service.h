@@ -1,12 +1,15 @@
 // PiService: the concurrent multi-session frontend over the engine —
 // the first step from "simulator" to "server".
 //
-// One PiService owns an Rdbms, a PiManager (auto-tracking every
-// submission), an optional FutureWorkloadModel, and a MetricsRegistry,
-// and drives them from a dedicated *ticker thread*: each tick advances
-// the simulated clock by one quantum (paced against wall time by
-// `time_scale`, or flat out when it is 0), feeds the progress
-// indicators, and publishes an immutable ProgressSnapshot.
+// One PiService owns an Rdbms, one MultiQueryPi, an optional
+// FutureWorkloadModel, a MetricsRegistry, and one column of per-query
+// state indexed like the Rdbms records (id - 1): the query's
+// SingleQueryPi, its owning session and its last credible ETAs. A
+// dedicated *ticker thread* drives them: each tick advances the
+// simulated clock by one quantum (paced against wall time by
+// `time_scale`, or flat out when it is 0), feeds the multi-query PI and
+// the single-query PIs of the live queries, and publishes an immutable
+// ProgressSnapshot.
 //
 // Thread-safety contract:
 //   - All engine and PI state is guarded by one internal mutex
@@ -54,7 +57,8 @@
 #include "obs/flight_recorder.h"
 #include "obs/tracer.h"
 #include "pi/future_model.h"
-#include "pi/pi_manager.h"
+#include "pi/multi_query_pi.h"
+#include "pi/single_query_pi.h"
 #include "recover/event.h"
 #include "sched/rdbms.h"
 #include "service/metrics.h"
@@ -91,9 +95,6 @@ struct WatchdogOptions {
 struct PiServiceOptions {
   /// Engine configuration (rate C, quantum, MPL, perturbations...).
   sched::RdbmsOptions rdbms;
-  /// Progress-indicator configuration; `auto_track` is forced on so
-  /// every submission gets a single-query PI.
-  pi::PiManagerOptions pi;
   /// §2.4 prior (lambda, c-bar, p-bar); lambda == 0 disables arrival
   /// forecasting entirely.
   pi::FutureWorkloadEstimate future_prior;
@@ -111,7 +112,9 @@ struct PiServiceOptions {
   /// scheduled arrivals either way).
   bool abort_queries_on_session_close = true;
   /// Per-session cap on concurrently live (non-terminal) queries;
-  /// Submit fails with FailedPrecondition at the cap. 0 = unlimited.
+  /// Submit fails with FailedPrecondition at the cap, and a SubmitAt
+  /// arrival that finds its session at the cap when it falls due is
+  /// dropped. Both count in `service.submit_rejected`. 0 = unlimited.
   std::uint64_t max_inflight_per_session = 0;
   /// Feed every published snapshot to the estimate auditor and publish
   /// labeled accuracy metrics (pi.estimate_mape, pi.estimate_bias,
@@ -350,11 +353,22 @@ class PiService {
 
   // Requires state_mu_. Returns the session or nullptr.
   SessionState* FindSessionLocked(std::uint64_t session_id);
+  // Requires state_mu_. The session that submitted `id`; 0 if none.
+  std::uint64_t OwnerLocked(QueryId id) const;
   // Requires state_mu_. Ownership check for control operations.
   Status CheckOwnedLocked(std::uint64_t session_id, QueryId id) const;
 
+  // Requires state_mu_. The one submit path: enforces the session's
+  // inflight cap and the queue bound, submits, and gives the query its
+  // column entry.
+  Result<QueryId> SubmitLocked(SessionState* session,
+                               const engine::QuerySpec& spec,
+                               Priority priority);
   // Requires state_mu_. Submits every scheduled arrival due at `now`.
   void SubmitDueArrivalsLocked();
+  // Requires state_mu_. Feeds the multi-query PI and the single-query
+  // PIs of the live queries after a Step.
+  void ObservePisLocked();
   // Requires state_mu_. True when nothing can make progress.
   bool IdleLocked() const;
 
@@ -371,7 +385,7 @@ class PiService {
   void FeedAuditor(const ProgressSnapshot& snapshot);
   void RecordAccuracyMetrics(const obs::QueryAccuracy& report);
   // Requires state_mu_.
-  std::shared_ptr<ProgressSnapshot> BuildSnapshotLocked() const;
+  std::shared_ptr<ProgressSnapshot> BuildSnapshotLocked();
   void Publish(std::shared_ptr<ProgressSnapshot> snapshot);
   // Requires state_mu_. Appends to the journal when a sink is
   // attached; no-op otherwise.
@@ -400,12 +414,21 @@ class PiService {
   mutable std::mutex state_mu_;
   std::unique_ptr<sched::Rdbms> db_;
   std::unique_ptr<pi::FutureWorkloadModel> future_;
-  std::unique_ptr<pi::PiManager> pis_;
+  pi::MultiQueryPi multi_;
+  /// Per-query state, at index id - 1 like the Rdbms records. The
+  /// last credible (finite, within-horizon) published ETAs are the
+  /// carry values when an estimator degrades.
+  struct ServedQuery {
+    std::uint64_t session_id = 0;
+    pi::SingleQueryPi single;
+    SimTime last_good_single = kUnknown;
+    SimTime last_good_multi = kUnknown;
+  };
+  std::vector<ServedQuery> queries_;
   std::priority_queue<ScheduledSubmit, std::vector<ScheduledSubmit>,
                       ScheduledLater>
       arrivals_;
   std::unordered_map<std::uint64_t, SessionState> sessions_;
-  std::unordered_map<QueryId, std::uint64_t> query_owner_;
   std::uint64_t next_session_id_ = 1;
   /// The attached journal (guarded by state_mu_; appends happen under
   /// it, in mutation order).
@@ -483,15 +506,6 @@ class PiService {
   std::uint64_t seen_degraded_estimates_ = 0;
   // Last per-fault-point fire totals already published (state_mu_).
   std::unordered_map<const void*, std::uint64_t> seen_fault_fires_;
-
-  // Last credible (finite, within-horizon) published ETA per live
-  // query — the carry value when an estimator degrades. Guarded by
-  // state_mu_; mutable because snapshot building is logically const.
-  struct LastGoodEta {
-    SimTime single = kUnknown;
-    SimTime multi = kUnknown;
-  };
-  mutable std::unordered_map<QueryId, LastGoodEta> last_good_eta_;
 
   fault::FaultInjector* const fault_;  // == options_.fault, cached
 

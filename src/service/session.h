@@ -54,8 +54,10 @@ class Session {
 
   /// Schedules a submission at absolute simulated time `time` (past
   /// times submit on the next tick). The ticker performs the actual
-  /// submit; the query then belongs to this session. Used to replay
-  /// workload arrival schedules as live service traffic.
+  /// submit; the query then belongs to this session. The inflight cap
+  /// and the queue bound apply at that point: an arrival refused by
+  /// either is dropped and counted as a refused Submit would be. Used
+  /// to replay workload arrival schedules as live service traffic.
   Status SubmitAt(SimTime time, engine::QuerySpec spec,
                   Priority priority = Priority::kNormal);
 

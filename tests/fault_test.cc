@@ -440,7 +440,7 @@ TEST(ServiceDegradationTest, AbsurdEstimateDegradesToLastKnownGood) {
   EXPECT_TRUE(degraded->degraded);
   // The published ETA is the last credible one, not the absurdity.
   EXPECT_TRUE(std::isfinite(degraded->eta_single));
-  EXPECT_LE(degraded->eta_single, options.pi.multi.horizon);
+  EXPECT_LE(degraded->eta_single, pi::MultiQueryPiOptions{}.horizon);
   EXPECT_GE(degraded->eta_single, 0.0);
   EXPECT_GT(service.metrics()->counter("pi.degraded_estimates")->value(),
             0u);

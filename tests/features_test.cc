@@ -1,6 +1,6 @@
 // Tests for the smaller library features: per-query I/O statistics,
-// PiManager auto-tracking, schedule serialization, and buffer-account
-// hit accounting.
+// PiManager tracking, schedule serialization, and buffer-account hit
+// accounting.
 
 #include <gtest/gtest.h>
 
@@ -64,25 +64,26 @@ TEST(IoStatsTest, BufferAccountHitAccounting) {
   EXPECT_DOUBLE_EQ(account.hit_rate(), 0.2);
 }
 
-// ---- auto-track -----------------------------------------------------------------
+// ---- tracking -------------------------------------------------------------------
 
-TEST(AutoTrackTest, TracksSubmissionsAutomatically) {
+TEST(TrackTest, TracksQueriesTrackedAtSubmit) {
   storage::Catalog catalog;
   sched::RdbmsOptions options;
   options.processing_rate = 100.0;
   options.quantum = 0.1;
   sched::Rdbms db(&catalog, options);
   pi::PiManager pis(&db, {.sample_interval = 0.5,
-                          .single_speed_window = 0.5,
-                          .auto_track = true});
+                          .single_speed_window = 0.5});
   auto a = db.Submit(QuerySpec::Synthetic(200.0));
   auto b = db.Submit(QuerySpec::Synthetic(200.0));
-  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(a.ok() && b.ok());
+  pis.Track(*a);
+  pis.Track(*b);
   for (int i = 0; i < 15; ++i) {
     db.Step(options.quantum);
     pis.AfterStep();
   }
-  // Both queries were tracked without explicit Track() calls.
+  // Both queries were traced from their first quantum on.
   EXPECT_FALSE(pis.Trace(*a).empty());
   EXPECT_FALSE(pis.Trace(*b).empty());
   EXPECT_TRUE(pis.EstimateSingle(*a).ok());

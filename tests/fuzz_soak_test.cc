@@ -298,7 +298,7 @@ TEST(ChaosSoakTest, ServiceSurvivesChaosAndRecovers) {
   injector.ArmProbability(fault::kPiWindowCorrupt, 0.05,
                           std::numeric_limits<double>::quiet_NaN());
 
-  const SimTime horizon = options.pi.multi.horizon;
+  const SimTime horizon = pi::MultiQueryPiOptions{}.horizon;
   const auto check_snapshot = [&](const service::SnapshotPtr& snapshot) {
     ASSERT_NE(snapshot, nullptr);
     ASSERT_TRUE(std::isfinite(snapshot->measured_rate));

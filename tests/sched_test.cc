@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "sched/rdbms.h"
 #include "storage/catalog.h"
@@ -227,6 +228,41 @@ TEST_F(RdbmsTest, InfoForUnknownQuery) {
   EXPECT_EQ(db.info(*first)->id, *first);
   EXPECT_EQ(db.info(*last)->id, *last);
   EXPECT_EQ(db.num_queries(), 2u);
+}
+
+TEST_F(RdbmsTest, VisitLiveSeesEachLiveQueryOnceInSchedulerOrder) {
+  auto options = BaseOptions();
+  options.max_concurrent = 4;
+  Rdbms db(&catalog_, options);
+  // 1 finishes, 2 runs, 3 is blocked, 4 is aborted while running.
+  for (const WorkUnits work : {5.0, 1000.0, 1000.0, 1000.0}) {
+    ASSERT_TRUE(db.Submit(QuerySpec::Synthetic(work)).ok());
+  }
+  // 5..7 queue behind the closed gate; 6 is aborted there and left in
+  // the admission queue for lazy removal.
+  db.SetAdmissionOpen(false);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(db.Submit(QuerySpec::Synthetic(100.0)).ok());
+  }
+  ASSERT_TRUE(db.Block(3).ok());
+  ASSERT_TRUE(db.Abort(4).ok());
+  ASSERT_TRUE(db.Abort(6).ok());
+  db.Step(1.0);
+  ASSERT_EQ(db.info(1)->state, QueryState::kFinished);
+
+  std::vector<QueryId> visited;
+  std::vector<QueryState> states;
+  db.VisitLive([&](const QueryInfo& info) {
+    visited.push_back(info.id);
+    states.push_back(info.state);
+  });
+  // The running set (blocked included), then admission order.
+  EXPECT_EQ(visited, (std::vector<QueryId>{2, 3, 5, 7}));
+  EXPECT_EQ(states,
+            (std::vector<QueryState>{QueryState::kRunning,
+                                     QueryState::kBlocked,
+                                     QueryState::kQueued,
+                                     QueryState::kQueued}));
 }
 
 TEST_F(RdbmsTest, IdleSemantics) {

@@ -395,6 +395,28 @@ TEST(ServiceManualTest, InflightCapRejectsExcessSubmits) {
   session->Close();
 }
 
+TEST(ServiceManualTest, InflightCapDropsExcessScheduledArrivals) {
+  storage::Catalog catalog;
+  auto options = ManualOptions();
+  options.max_inflight_per_session = 2;
+  PiService service(&catalog, options);
+  auto session = service.OpenSession();
+
+  // Scheduling is not admission: all three arrivals are accepted, and
+  // the cap is checked when each one falls due.
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(session->SubmitAt(0.05, QuerySpec::Synthetic(1000.0)).ok());
+  }
+  ASSERT_TRUE(service.Advance(0.3).ok());
+  EXPECT_EQ(session->LiveQueries(), 2u);
+  EXPECT_EQ(service.snapshot()->queries.size(), 2u);
+  MetricsRegistry* metrics = service.metrics();
+  EXPECT_EQ(metrics->counter("service.submit_rejected")->value(), 1u);
+  EXPECT_EQ(metrics->counter("service.submits")->value(), 2u);
+  EXPECT_EQ(metrics->counter("service.scheduled_arrivals")->value(), 3u);
+  session->Close();
+}
+
 TEST(ServiceManualTest, CloseAbortsLiveQueriesAndDropsArrivals) {
   storage::Catalog catalog;
   PiService service(&catalog, ManualOptions());
@@ -474,15 +496,18 @@ TEST(ServiceManualTest, ZipfScheduleReplayDrivesServiceTraffic) {
 
 // ---- snapshot builder vs. the cold accessors --------------------------------
 
-// The snapshot builder takes one pass over the scheduler's records; the
-// reference here rebuilds every published row from the cold per-query
-// accessors (Rdbms::AllQueries/QueuePosition, PiManager::EstimateSingle/
-// SpeedOf, MultiQueryPi::EstimateRemainingTime) of a twin Rdbms +
-// PiManager driven through the same operations. The twin is
-// deterministic, so every field must match exactly — a running row's
-// eta_multi on the fast path included: the service reads it from the
-// epoch's sweep by id and the reference from the twin's identical
-// sweep, one row at a time.
+// The snapshot builder takes one pass over the scheduler's records and
+// the service's per-query column; the reference here rebuilds every
+// published row from the cold per-query accessors (Rdbms::AllQueries/
+// QueuePosition, PiManager::EstimateSingle/SpeedOf,
+// MultiQueryPi::EstimateRemainingTime) of a twin Rdbms + PiManager
+// driven through the same operations, the twin tracking every id. The
+// twin is deterministic, so every field must match exactly — a running
+// row's eta_multi on the fast path included: the service reads it from
+// the epoch's sweep by id and the reference from the twin's identical
+// sweep, one row at a time. Two sessions own the queries, and one of
+// them arrives through SubmitAt, so the owner column and both submit
+// paths are checked.
 TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
   storage::Catalog catalog;
   storage::TpcrGenerator generator(
@@ -493,12 +518,11 @@ TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
   auto options = ManualOptions();
   options.rdbms.max_concurrent = 3;  // the last two submissions queue
   PiService service(&catalog, options);
-  auto session = service.OpenSession("diff");
+  auto alice = service.OpenSession("alice");
+  auto bob = service.OpenSession("bob");
 
   sched::Rdbms twin(&catalog, options.rdbms);
-  pi::PiManagerOptions twin_options = options.pi;
-  twin_options.auto_track = true;  // the service always auto-tracks
-  pi::PiManager twin_pis(&twin, twin_options);
+  pi::PiManager twin_pis(&twin);
 
   const std::vector<QuerySpec> specs = {
       QuerySpec::TpcrPartPrice("part_1"),  // 1: SQL, runs to completion
@@ -506,13 +530,25 @@ TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
       QuerySpec::Synthetic(5000.0),        // 3: blocked, resumed, aborted
       QuerySpec::Synthetic(200.0),         // 4: queued, then finishes
       QuerySpec::Synthetic(150.0),         // 5: aborted while queued
+      QuerySpec::Synthetic(250.0),         // 6: bob's arrival at t = 1
   };
-  for (const QuerySpec& spec : specs) {
-    auto id = session->Submit(spec);
-    auto twin_id = twin.Submit(spec);
-    ASSERT_TRUE(id.ok() && twin_id.ok());
-    ASSERT_EQ(*id, *twin_id);
+  // Who submitted each id; bob owns 2, 4 and the arrival.
+  const std::vector<Session*> owner = {alice.get(), bob.get(), alice.get(),
+                                       bob.get(),   alice.get(), bob.get()};
+  const auto twin_submit = [&](QueryId expected) {
+    auto twin_id = twin.Submit(specs[expected - 1]);
+    ASSERT_TRUE(twin_id.ok());
+    ASSERT_EQ(*twin_id, expected);
+    twin_pis.Track(*twin_id);
+  };
+  for (QueryId id = 1; id <= 5; ++id) {
+    auto served = owner[id - 1]->Submit(specs[id - 1]);
+    ASSERT_TRUE(served.ok());
+    ASSERT_EQ(*served, id);
+    twin_submit(id);
   }
+  const SimTime arrival = 1.0;
+  ASSERT_TRUE(bob->SubmitAt(arrival, specs[5]).ok());
   const auto both = [&](Status served, Status reference) {
     ASSERT_TRUE(served.ok()) << served.ToString();
     ASSERT_TRUE(reference.ok()) << reference.ToString();
@@ -523,25 +559,29 @@ TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
   for (int quantum = 1; quantum <= 600 && !twin.Idle(); ++quantum) {
     switch (quantum) {
       case 5:
-        both(session->Block(3), twin.Block(3));
+        both(alice->Block(3), twin.Block(3));
         break;
       case 8:
-        both(session->SetPriority(2, Priority::kHigh),
+        both(bob->SetPriority(2, Priority::kHigh),
              twin.SetPriority(2, Priority::kHigh));
         break;
       case 10:
-        both(session->Abort(5), twin.Abort(5));
+        both(alice->Abort(5), twin.Abort(5));
         break;
       case 15:
-        both(session->Resume(3), twin.Resume(3));
+        both(alice->Resume(3), twin.Resume(3));
         break;
       case 25:
-        both(session->Abort(3), twin.Abort(3));
+        both(alice->Abort(3), twin.Abort(3));
         break;
       default:
         break;
     }
     ASSERT_TRUE(service.Advance(options.rdbms.quantum).ok());
+    // The service submits a due arrival just before its Step.
+    if (twin.num_queries() == 5 && arrival <= twin.now() + kTimeEpsilon) {
+      twin_submit(6);
+    }
     twin.Step(options.rdbms.quantum);
     twin_pis.AfterStep();
     SCOPED_TRACE("quantum " + std::to_string(quantum));
@@ -571,7 +611,7 @@ TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
           info.completed_work + info.estimated_remaining_cost;
 
       EXPECT_EQ(row.id, info.id);
-      EXPECT_EQ(row.session_id, session->id());
+      EXPECT_EQ(row.session_id, owner[info.id - 1]->id());
       EXPECT_EQ(row.label, info.label);
       EXPECT_EQ(row.label, specs[info.id - 1].ToString());
       EXPECT_EQ(row.state, info.state);
@@ -618,13 +658,16 @@ TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
   EXPECT_EQ(final_rows[2].state, sched::QueryState::kAborted);
   EXPECT_EQ(final_rows[3].state, sched::QueryState::kFinished);
   EXPECT_EQ(final_rows[4].state, sched::QueryState::kAborted);
+  EXPECT_EQ(final_rows[5].state, sched::QueryState::kFinished);
+  EXPECT_NEAR(final_rows[5].arrival_time, arrival, 1e-9);
   // Both estimator paths served published rows.
   EXPECT_GT(fallback_quanta, 0);
   EXPECT_GT(fast_quanta, 0);
   MetricsRegistry* metrics = service.metrics();
   EXPECT_GT(metrics->counter("pi.incremental_fallback")->value(), 0u);
   EXPECT_GT(metrics->counter("pi.incremental_fast_path")->value(), 0u);
-  session->Close();
+  alice->Close();
+  bob->Close();
 }
 
 // ---- ticker mode ------------------------------------------------------------
