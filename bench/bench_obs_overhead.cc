@@ -10,8 +10,15 @@
 //                             of a build without any instrumentation
 //   BM_TracerInstant/0,1      a single instant-event record, off/on
 //   BM_TraceSpan/0,1          RAII span construct+destroy, off/on
-//   BM_AuditorObserve         one estimate observation (with periodic
-//                             trajectory scoring folded in)
+//   BM_AuditorObserve         one estimate observation through the
+//                             one-row path (a lock per call); every
+//                             64th ends its query, folding scoring
+//                             into the amortized figure. Ids are dense,
+//                             so the column grows one entry per query
+//   BM_AuditorBatch/2000      per row of a 2000-row live snapshot fed
+//                             under one Batch lock (the service's
+//                             path); trajectories run far past the
+//                             256-sample budget, so thinning is in it
 //
 // Run: ./bench_obs_overhead [--benchmark_filter=...]
 
@@ -96,6 +103,28 @@ void BM_AuditorObserve(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AuditorObserve);
+
+void BM_AuditorBatch(benchmark::State& state) {
+  const auto rows = static_cast<QueryId>(state.range(0));
+  obs::EstimateAuditor auditor;
+  SimTime t = 0.0;
+  for (auto _ : state) {
+    obs::EstimateAuditor::Batch batch(&auditor);
+    for (QueryId id = 1; id <= rows; ++id) {
+      obs::EstimateObservation observation;
+      observation.id = id;
+      observation.time = t;
+      observation.eta_single = 1e6 - t;
+      observation.eta_multi = 1e6 - t;
+      benchmark::DoNotOptimize(batch.Observe(observation));
+    }
+    t += 0.1;
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["retained_samples"] =
+      static_cast<double>(auditor.retained_samples());
+}
+BENCHMARK(BM_AuditorBatch)->Arg(2000);
 
 }  // namespace
 

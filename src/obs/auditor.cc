@@ -23,7 +23,10 @@ std::string FormatMetric(double v) {
 }  // namespace
 
 EstimateAuditor::EstimateAuditor(AuditorOptions options)
-    : options_(options) {}
+    : options_(options) {
+  options_.max_samples_per_query =
+      std::max<std::size_t>(options_.max_samples_per_query, 1);
+}
 
 EstimatorScore EstimateAuditor::ScoreTrajectory(
     const std::vector<Sample>& samples, SimTime arrival, SimTime finish,
@@ -35,7 +38,6 @@ EstimatorScore EstimateAuditor::ScoreTrajectory(
 
   double sum_abs = 0.0;
   double sum_signed = 0.0;
-  SimTime previous_estimate = kUnknown;
   // Convergence: the last sample that *violated* the band decides;
   // everything after it was trustworthy.
   SimTime last_violation_after = kUnknown;  // time of first in-band
@@ -48,13 +50,6 @@ EstimatorScore EstimateAuditor::ScoreTrajectory(
   for (const Sample& sample : samples) {
     const SimTime estimate = use_single ? sample.single : sample.multi;
     if (!UsableEstimate(estimate)) continue;
-
-    // Monotonicity: remaining time should count down between samples.
-    if (previous_estimate != kUnknown &&
-        estimate > previous_estimate + 1e-6) {
-      ++score.monotonicity_violations;
-    }
-    previous_estimate = estimate;
 
     const double truth = finish - sample.time;
     if (truth < min_truth) continue;  // endgame noise, not signal
@@ -94,25 +89,69 @@ EstimatorScore EstimateAuditor::ScoreTrajectory(
   return score;
 }
 
+void EstimateAuditor::TrackLocked(const EstimateObservation& obs,
+                                  Trajectory* query) {
+  // Monotonicity: remaining time should count down between usable
+  // estimates. Counted here, on every observation, so thinning below
+  // never hides a rise.
+  const auto count_rise = [](SimTime estimate, SimTime* last, int* rises) {
+    if (!UsableEstimate(estimate)) return;
+    if (*last != kUnknown && estimate > *last + 1e-6) ++*rises;
+    *last = estimate;
+  };
+  count_rise(obs.eta_single, &query->last_single, &query->rises_single);
+  count_rise(obs.eta_multi, &query->last_multi, &query->rises_multi);
+
+  const std::uint64_t n = query->observed++;
+  if (n % query->stride != 0) return;
+  std::vector<Sample>& samples = query->samples;
+  const std::size_t budget = options_.max_samples_per_query;
+  if (samples.size() >= budget) {
+    // Over budget: keep the even positions and double the stride, then
+    // re-check this observation against the new stride.
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < samples.size(); i += 2) {
+      samples[kept++] = samples[i];
+    }
+    retained_samples_ -= samples.size() - kept;
+    samples.resize(kept);
+    query->stride *= 2;
+    if (n % query->stride != 0) return;
+  }
+  if (samples.size() == samples.capacity()) {
+    samples.reserve(std::min(budget, std::max<std::size_t>(
+                                         8, 2 * samples.capacity())));
+  }
+  samples.push_back(Sample{obs.time, obs.eta_single, obs.eta_multi});
+  ++retained_samples_;
+}
+
 std::optional<QueryAccuracy> EstimateAuditor::Observe(
     const EstimateObservation& obs) {
+  Batch batch(this);
+  return batch.Observe(obs);
+}
+
+std::optional<QueryAccuracy> EstimateAuditor::ObserveLocked(
+    const EstimateObservation& obs) {
   if (obs.id == kInvalidQueryId) return std::nullopt;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (scored_.count(obs.id) > 0) return std::nullopt;
+  if (obs.id > queries_.size()) queries_.resize(obs.id);
+  Trajectory& query = queries_[obs.id - 1];
+  if (query.tracking == Tracking::kScored) return std::nullopt;
 
   if (!obs.terminal) {
-    LiveQuery& live = live_[obs.id];
-    live.priority = obs.priority;
-    live.arrival_time = obs.arrival_time;
-    if (live.samples.size() < options_.max_samples_per_query) {
-      live.samples.push_back(
-          Sample{obs.time, obs.eta_single, obs.eta_multi});
+    if (query.tracking == Tracking::kUntracked) {
+      query.tracking = Tracking::kLive;
+      ++tracked_count_;
     }
+    TrackLocked(obs, &query);
     return std::nullopt;
   }
 
   // Terminal: score whatever trajectory we have and retire the query.
-  scored_.insert(obs.id);
+  const bool tracked = query.tracking == Tracking::kLive;
+  if (tracked) --tracked_count_;
+  query.tracking = Tracking::kScored;
   QueryAccuracy report;
   report.id = obs.id;
   report.priority = obs.priority;
@@ -122,14 +161,16 @@ std::optional<QueryAccuracy> EstimateAuditor::Observe(
   report.lifetime =
       obs.finish_time != kUnknown ? obs.finish_time - obs.arrival_time : 0.0;
 
-  auto it = live_.find(obs.id);
-  if (obs.finished && obs.finish_time != kUnknown && it != live_.end()) {
-    report.single = ScoreTrajectory(it->second.samples, obs.arrival_time,
+  if (obs.finished && obs.finish_time != kUnknown && tracked) {
+    report.single = ScoreTrajectory(query.samples, obs.arrival_time,
                                     obs.finish_time, /*use_single=*/true);
-    report.multi = ScoreTrajectory(it->second.samples, obs.arrival_time,
+    report.single.monotonicity_violations = query.rises_single;
+    report.multi = ScoreTrajectory(query.samples, obs.arrival_time,
                                    obs.finish_time, /*use_single=*/false);
+    report.multi.monotonicity_violations = query.rises_multi;
   }
-  if (it != live_.end()) live_.erase(it);
+  retained_samples_ -= query.samples.size();
+  std::vector<Sample>().swap(query.samples);
 
   if (report.finished) {
     ++queries_scored_;
@@ -209,7 +250,12 @@ AccuracyAggregate EstimateAuditor::Aggregate() const {
 
 std::size_t EstimateAuditor::live_queries() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return live_.size();
+  return tracked_count_;
+}
+
+std::size_t EstimateAuditor::retained_samples() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return retained_samples_;
 }
 
 std::string EstimateAuditor::RenderText(std::size_t max_recent) const {
@@ -257,8 +303,9 @@ std::string EstimateAuditor::RenderText(std::size_t max_recent) const {
 
 void EstimateAuditor::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  live_.clear();
-  scored_.clear();
+  queries_.clear();
+  tracked_count_ = 0;
+  retained_samples_ = 0;
   completed_.clear();
   queries_scored_ = queries_aborted_ = 0;
   sum_mape_single_ = sum_mape_multi_ = 0.0;

@@ -3,9 +3,10 @@
 // The paper's whole evaluation (§4, Figures 1-11) is about how fast the
 // remaining-time estimates r_i converge to the truth as queries run.
 // The auditor computes those quality metrics *in production*: it is fed
-// one observation per query per published quantum (the service does
-// this from its snapshot loop), retains each query's estimate
-// trajectory, and when the query completes scores the trajectory
+// one observation per live query per published quantum (the service
+// does this from its snapshot loop, plus one terminal observation when
+// a query finishes or aborts), keeps a bounded sample of each query's
+// estimate trajectory, and when the query completes scores that sample
 // against ground truth — the query's actual remaining time at each
 // sample, known exactly once the finish time is.
 //
@@ -14,23 +15,44 @@
 //   - MAPE: mean |estimate - actual| / actual over scored samples,
 //   - signed bias: mean (estimate - actual) / actual (>0 = pessimistic
 //     overestimates, <0 = optimistic underestimates),
-//   - monotonicity violations: samples where the remaining-time
-//     estimate *rose* since the previous sample (a perfect estimator
-//     under stationary load only ever counts down; rises mark load
-//     changes the estimator did not anticipate — Figures 6-7),
+//   - monotonicity violations: observations where the remaining-time
+//     estimate *rose* since the previous usable one (a perfect
+//     estimator under stationary load only ever counts down; rises mark
+//     load changes the estimator did not anticipate — Figures 6-7),
 //   - convergence: the earliest time from which every later estimate
 //     stays within 10% of the truth (Figure 1/10's "how soon can you
 //     trust it" question), also expressed as a fraction of the query's
 //     lifetime (0 = trustworthy immediately, unknown = never settled).
 //
-// Rolling aggregates over every scored query are maintained as running
-// sums, so Aggregate() reflects the full history even though only the
-// most recent `retain_completed` per-query reports are kept.
+// Bounded trajectories. A live query retains at most
+// `max_samples_per_query` samples however long it runs: it keeps every
+// `stride`-th observation, and when one more would exceed the budget
+// it drops the odd positions and doubles `stride`, so the kept samples
+// stay uniform in time. A trajectory that fits the budget keeps every
+// observation and scores exactly as an unbounded one would; a longer
+// one scores MAPE, bias and convergence on its uniform thinning. Its
+// convergence is never more than one stride later than the full
+// trajectory's, but may be earlier: a late band violation that falls
+// between kept samples goes unseen. Monotonicity is counted on the
+// full stream as observations arrive — it needs only the previous
+// usable estimate — so thinning never changes it.
+//
+// Memory is O(tracked ids) small entries plus O(live × budget) samples;
+// a scored query frees its samples. Rolling aggregates over every
+// scored query are maintained as running sums, so Aggregate() reflects
+// the full history even though only the most recent `retain_completed`
+// per-query reports are kept.
+//
+// Ids. Per-query state lives in one column indexed by `id - 1`, so ids
+// must be dense from 1 — the record ids `PiService` (and each shard's
+// service) assigns. A sparse id space (for example global shard ids)
+// would size the column by its largest id.
 //
 // Thread-safety: fully internally locked. One writer (the service's
-// stepping thread) calls Observe(); any number of reader threads may
-// call Completed()/ReportFor()/Aggregate()/RenderText() concurrently —
-// the TSan stress test drives exactly that pattern.
+// stepping thread) calls Observe() or fills a Batch, which holds the
+// lock for a whole snapshot; any number of reader threads may call
+// Completed()/ReportFor()/Aggregate()/RenderText() concurrently — the
+// TSan stress test drives exactly that pattern.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +60,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/priority.h"
@@ -109,9 +129,13 @@ struct AccuracyAggregate {
 };
 
 struct AuditorOptions {
-  /// Trajectory length cap per live query; later samples are dropped
-  /// (counted, not scored) so a runaway query cannot grow memory.
-  std::size_t max_samples_per_query = 4096;
+  /// Sample budget per live query. A trajectory keeps every
+  /// `stride`-th observation; past the budget it halves itself (even
+  /// positions kept) and doubles `stride`, so a query of any length
+  /// holds at most this many samples, spread uniformly over its life.
+  /// Trajectories within the budget are scored on every observation.
+  /// Values below 1 are treated as 1.
+  std::size_t max_samples_per_query = 256;
   /// Completed per-query reports retained for ReportFor()/Completed().
   std::size_t retain_completed = 1024;
   /// Relative-error band for convergence detection.
@@ -133,9 +157,33 @@ class EstimateAuditor {
  public:
   explicit EstimateAuditor(AuditorOptions options = {});
 
-  /// Feeds one observation. On the first terminal observation of a
-  /// query, scores its trajectory and returns the completed record
-  /// (callers use this to publish metrics); returns nullopt otherwise.
+  /// Holds the auditor's lock for a run of observations — one published
+  /// snapshot — so feeding N rows costs one lock, not N.
+  class Batch {
+   public:
+    explicit Batch(EstimateAuditor* auditor)
+        : auditor_(auditor), lock_(auditor->mu_) {}
+    Batch(const Batch&) = delete;
+    Batch& operator=(const Batch&) = delete;
+
+    /// See EstimateAuditor::Observe.
+    std::optional<QueryAccuracy> Observe(const EstimateObservation& obs) {
+      return auditor_->ObserveLocked(obs);
+    }
+    /// Samples retained across all live trajectories.
+    std::size_t retained_samples() const {
+      return auditor_->retained_samples_;
+    }
+
+   private:
+    EstimateAuditor* auditor_;
+    std::lock_guard<std::mutex> lock_;
+  };
+
+  /// Feeds one observation (a one-row Batch). On the first terminal
+  /// observation of a query, scores its trajectory and returns the
+  /// completed record (callers use this to publish metrics); returns
+  /// nullopt otherwise, and for every later observation of that id.
   std::optional<QueryAccuracy> Observe(const EstimateObservation& obs);
 
   /// Most recent completed reports, oldest first (bounded).
@@ -153,6 +201,9 @@ class EstimateAuditor {
   /// Queries currently being tracked (live, not yet terminal).
   std::size_t live_queries() const;
 
+  /// Samples retained across all live trajectories.
+  std::size_t retained_samples() const;
+
   void Clear();
 
   const AuditorOptions& options() const { return options_; }
@@ -163,20 +214,34 @@ class EstimateAuditor {
     SimTime single = kUnknown;
     SimTime multi = kUnknown;
   };
-  struct LiveQuery {
-    Priority priority = Priority::kNormal;
-    SimTime arrival_time = 0.0;
+  enum class Tracking : std::uint8_t { kUntracked, kLive, kScored };
+  /// One query's column entry.
+  struct Trajectory {
+    /// Every `stride`-th non-terminal observation; at most the budget.
     std::vector<Sample> samples;
+    std::uint64_t observed = 0;  // non-terminal observations so far
+    std::uint32_t stride = 1;
+    Tracking tracking = Tracking::kUntracked;
+    // Streaming monotonicity: the last usable estimate per estimator
+    // and the rises counted over every observation.
+    int rises_single = 0;
+    int rises_multi = 0;
+    SimTime last_single = kUnknown;
+    SimTime last_multi = kUnknown;
   };
 
+  std::optional<QueryAccuracy> ObserveLocked(const EstimateObservation& obs);
+  void TrackLocked(const EstimateObservation& obs, Trajectory* query);
+  /// Scores `samples` against the truth; monotonicity is the caller's.
   EstimatorScore ScoreTrajectory(const std::vector<Sample>& samples,
                                  SimTime arrival, SimTime finish,
                                  bool use_single) const;
 
   AuditorOptions options_;
   mutable std::mutex mu_;
-  std::unordered_map<QueryId, LiveQuery> live_;
-  std::unordered_set<QueryId> scored_;  // terminal ids, never re-scored
+  std::vector<Trajectory> queries_;  // index id - 1
+  std::size_t tracked_count_ = 0;  // entries in Tracking::kLive
+  std::size_t retained_samples_ = 0;  // over live trajectories
   std::deque<QueryAccuracy> completed_;
 
   // Running aggregate sums (scored queries only).

@@ -90,6 +90,11 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
             event.kind == sched::QueryEventKind::kFinished;
         metrics_.counter(finished ? "queries.finished" : "queries.aborted")
             ->Increment();
+        // The auditor scores a query once, from the first fed snapshot
+        // after this transition; rows already terminal are never fed.
+        if (options_.enable_auditor) {
+          auditor_terminal_pending_.push_back(event.info.id);
+        }
         auto session = sessions_.find(OwnerLocked(event.info.id));
         if (session != sessions_.end()) {
           session->second.live.erase(event.info.id);
@@ -122,6 +127,7 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
   rate_floor_hits_ = metrics_.counter("pi.rate_floor_hits");
   corrupt_rate_samples_ = metrics_.counter("pi.corrupt_rate_samples");
   uptime_quanta_gauge_ = metrics_.gauge("service.uptime_quanta");
+  auditor_samples_gauge_ = metrics_.gauge("obs.auditor_samples");
   ticker_age_quanta_gauge_ =
       metrics_.gauge("service.ticker_last_step_age_quanta");
   step_wall_ms_ = metrics_.histogram("step.wall_ms");
@@ -439,6 +445,7 @@ void PiService::StepAndPublish(SimTime dt) {
   obs::TraceSpan span(tracer_, "service", "step_and_publish");
   const auto start = WallClock::now();
   std::shared_ptr<ProgressSnapshot> snapshot;
+  std::vector<QueryId> terminal;  // fed to the auditor with `snapshot`
   bool delayed = false;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -459,6 +466,9 @@ void PiService::StepAndPublish(SimTime dt) {
       metrics_.gauge("queries.queued")->Set(snapshot->num_queued);
       metrics_.gauge("queries.blocked")->Set(snapshot->num_blocked);
       metrics_.gauge("service.sim_time")->Set(snapshot->sim_time);
+      // Only a fed snapshot takes the pending terminal ids; a delayed
+      // quantum leaves them for the next one.
+      terminal.swap(auditor_terminal_pending_);
     }
     RecordForecastCacheMetricsLocked();
     RecordDegradationMetricsLocked();
@@ -473,7 +483,7 @@ void PiService::StepAndPublish(SimTime dt) {
     span.arg("queries", static_cast<double>(snapshot->queries.size()));
     // Stale re-publications never reach the auditor — scoring the same
     // estimates twice would double-count trajectory samples.
-    if (options_.enable_auditor) FeedAuditor(*snapshot);
+    if (options_.enable_auditor) FeedAuditor(*snapshot, std::move(terminal));
     Publish(std::move(snapshot));
   }
   quanta_stepped_->Increment();
@@ -512,8 +522,10 @@ void PiService::PublishStaleCopy() {
   if (degraded) flight_.Trigger("degraded_publish");
 }
 
-void PiService::FeedAuditor(const ProgressSnapshot& snapshot) {
-  for (const QueryProgress& query : snapshot.queries) {
+void PiService::FeedAuditor(const ProgressSnapshot& snapshot,
+                            std::vector<QueryId> terminal) {
+  MQPI_PROF_SITE(prof, "service.feed_auditor");
+  const auto observation = [&](const QueryProgress& query) {
     obs::EstimateObservation observation;
     observation.id = query.id;
     observation.time = snapshot.sim_time;
@@ -524,8 +536,28 @@ void PiService::FeedAuditor(const ProgressSnapshot& snapshot) {
     observation.terminal = query.terminal();
     observation.finished = query.state == sched::QueryState::kFinished;
     observation.finish_time = query.finish_time;
-    auto report = auditor_.Observe(observation);
-    if (report.has_value()) RecordAccuracyMetrics(*report);
+    return observation;
+  };
+  std::vector<obs::QueryAccuracy> reports;
+  std::size_t retained = 0;
+  {
+    obs::EstimateAuditor::Batch batch(&auditor_);
+    for (const QueryProgress& query : snapshot.queries) {
+      if (!query.terminal()) batch.Observe(observation(query));
+    }
+    // Id order, as the rows are: reports fold into the running sums in
+    // the order a full row scan would produce.
+    std::sort(terminal.begin(), terminal.end());
+    for (QueryId id : terminal) {
+      if (!MQPI_DCHECK(id >= 1 && id <= snapshot.queries.size())) continue;
+      auto report = batch.Observe(observation(snapshot.queries[id - 1]));
+      if (report.has_value()) reports.push_back(std::move(*report));
+    }
+    retained = batch.retained_samples();
+  }
+  auditor_samples_gauge_->Set(static_cast<double>(retained));
+  for (const obs::QueryAccuracy& report : reports) {
+    RecordAccuracyMetrics(report);
   }
 }
 

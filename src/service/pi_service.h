@@ -116,11 +116,15 @@ struct PiServiceOptions {
   /// arrival that finds its session at the cap when it falls due is
   /// dropped. Both count in `service.submit_rejected`. 0 = unlimited.
   std::uint64_t max_inflight_per_session = 0;
-  /// Feed every published snapshot to the estimate auditor and publish
-  /// labeled accuracy metrics (pi.estimate_mape, pi.estimate_bias,
-  /// pi.monotonicity_violations) when queries complete.
+  /// Feed every stepped snapshot's live rows to the estimate auditor
+  /// (one lock per snapshot), plus each query once more when it
+  /// finishes or aborts, and publish labeled accuracy metrics
+  /// (pi.estimate_mape, pi.estimate_bias, pi.monotonicity_violations)
+  /// as queries complete. Auditor memory is O(live queries × the
+  /// per-query sample budget), independent of how long queries run.
   bool enable_auditor = true;
-  /// Auditor tuning: trajectory caps, convergence band, truth cutoff.
+  /// Auditor tuning: per-query sample budget, convergence band, truth
+  /// cutoff.
   obs::AuditorOptions auditor;
   /// Optional chaos harness (not owned; must outlive the service).
   /// Wired into the Rdbms, the multi-query PI, and the service's own
@@ -379,10 +383,13 @@ class PiService {
   // snapshot with `age_quanta` bumped and the degraded flag applied
   // past the staleness threshold.
   void PublishStaleCopy();
-  // Feeds a freshly built snapshot's rows to the auditor and publishes
-  // accuracy metrics for queries that just completed. The auditor is
-  // internally locked; called after state_mu_ is released.
-  void FeedAuditor(const ProgressSnapshot& snapshot);
+  // Feeds a freshly built snapshot to the auditor under one auditor
+  // lock: every non-terminal row, plus the rows of `terminal` (the ids
+  // that went terminal since the last fed snapshot). Then publishes
+  // accuracy metrics for the queries just scored. Called after
+  // state_mu_ is released.
+  void FeedAuditor(const ProgressSnapshot& snapshot,
+                   std::vector<QueryId> terminal);
   void RecordAccuracyMetrics(const obs::QueryAccuracy& report);
   // Requires state_mu_.
   std::shared_ptr<ProgressSnapshot> BuildSnapshotLocked();
@@ -430,6 +437,9 @@ class PiService {
       arrivals_;
   std::unordered_map<std::uint64_t, SessionState> sessions_;
   std::uint64_t next_session_id_ = 1;
+  /// Ids that finished or aborted since the last snapshot fed to the
+  /// auditor (filled by the event listener; empty when it is off).
+  std::vector<QueryId> auditor_terminal_pending_;
   /// The attached journal (guarded by state_mu_; appends happen under
   /// it, in mutation order).
   recover::EventSink* event_sink_ = nullptr;
@@ -491,6 +501,7 @@ class PiService {
   Counter* rate_floor_hits_;
   Counter* corrupt_rate_samples_;
   Gauge* uptime_quanta_gauge_;
+  Gauge* auditor_samples_gauge_;
   Gauge* ticker_age_quanta_gauge_;
   Histogram* step_wall_ms_;
   Histogram* snapshot_age_ms_;

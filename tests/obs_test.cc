@@ -9,13 +9,16 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "engine/planner.h"
+#include "fault/fault_injector.h"
 #include "obs/auditor.h"
 #include "obs/tracer.h"
 #include "service/pi_service.h"
@@ -323,6 +326,51 @@ TEST(AuditorTest, TruthResolutionForgivesSubResolutionError) {
   EXPECT_EQ(raw->multi.converged_at, kUnknown);
 }
 
+TEST(AuditorTest, LongQueriesAreScoredOverTheirWholeLife) {
+  // 10 000 observations at a 0.1 s quantum, far past the sample budget.
+  // The estimate is exact for the first half and 1.5x the truth for the
+  // second: one upward jump at the switch, then a steady countdown.
+  EstimateAuditor auditor;
+  const SimTime finish = 1000.1;
+  for (int i = 1; i <= 10000; ++i) {
+    const SimTime t = 0.1 * i;
+    const double truth = finish - t;
+    const double estimate = i <= 5000 ? truth : 1.5 * truth;
+    auditor.Observe(Sample(10, t, estimate, estimate));
+    ASSERT_LE(auditor.retained_samples(),
+              auditor.options().max_samples_per_query);
+  }
+  auto report = auditor.Observe(Terminal(10, finish, /*finished=*/true));
+  ASSERT_TRUE(report.has_value());
+  // Scored samples exclude truths under 2% of the lifetime, so the
+  // second half contributes 4800 of 9800 samples at 50% error.
+  EXPECT_NEAR(report->multi.mape, 0.245, 0.01);
+  EXPECT_NEAR(report->multi.bias, 0.245, 0.01);
+  EXPECT_EQ(report->multi.converged_at, kUnknown);
+  EXPECT_EQ(report->multi.monotonicity_violations, 1);
+  EXPECT_EQ(auditor.retained_samples(), 0u);  // scoring frees them
+}
+
+TEST(AuditorTest, OverBudgetTrajectoriesThinUniformly) {
+  AuditorOptions options;
+  options.max_samples_per_query = 4;
+  EstimateAuditor auditor(options);
+  // Nine observations at t = 1..9 into a budget of 4: the fifth halves
+  // the trajectory to t = 1, 3 (stride 2) and keeps t = 5; the ninth
+  // halves it again to t = 1, 5 (stride 4) and keeps t = 9.
+  const std::size_t retained[] = {1, 2, 3, 4, 3, 3, 4, 4, 3};
+  for (int t = 1; t <= 9; ++t) {
+    auditor.Observe(Sample(1, t, 10.0 - t, 10.0 - t));
+    EXPECT_EQ(auditor.retained_samples(), retained[t - 1]) << "t=" << t;
+  }
+  EXPECT_EQ(auditor.live_queries(), 1u);
+  auto report = auditor.Observe(Terminal(1, 10.0, /*finished=*/true));
+  ASSERT_TRUE(report.has_value());
+  EXPECT_EQ(report->multi.samples, 3);
+  EXPECT_DOUBLE_EQ(report->multi.converged_at, 1.0);
+  EXPECT_EQ(auditor.live_queries(), 0u);
+}
+
 // ---- auditor through the service: the §2.2 standard case --------------------
 
 // Three queries of 100/200/300 U submitted together at C = 100 U/s,
@@ -390,6 +438,180 @@ TEST(ServiceAuditTest, DisablingTheAuditorKeepsItEmpty) {
   ASSERT_TRUE(service.AdvanceUntilIdle(30.0).ok());
   EXPECT_EQ(service.auditor()->Aggregate().queries_scored, 0u);
   EXPECT_EQ(service.auditor()->live_queries(), 0u);
+  session->Close();
+}
+
+// Figures 6-7's SCQ setting through the service: three long queries
+// (thousands of quanta each) share the system with Poisson arrivals of
+// short ones, default cost-model noise on. Returns every completed
+// report, keyed by id.
+std::map<QueryId, QueryAccuracy> RunScqAudit(std::size_t budget) {
+  storage::Catalog catalog;
+  service::PiServiceOptions options;
+  options.rdbms.processing_rate = 100.0;
+  options.rdbms.quantum = 0.1;
+  options.start_ticker = false;
+  options.auditor.max_samples_per_query = budget;
+  options.auditor.retain_completed = 1 << 20;
+  service::PiService service(&catalog, options);
+  auto session = service.OpenSession("scq");
+  for (double cost : {8000.0, 12000.0, 16000.0}) {
+    EXPECT_TRUE(session->Submit(QuerySpec::Synthetic(cost)).ok());
+  }
+  Rng rng(17);
+  SimTime arrival = 0.0;
+  for (int i = 0; i < 200; ++i) {
+    arrival += rng.Exponential(0.4);
+    EXPECT_TRUE(
+        session->SubmitAt(arrival, QuerySpec::Synthetic(rng.Uniform(20, 100)))
+            .ok());
+  }
+  EXPECT_TRUE(service.AdvanceUntilIdle(/*deadline=*/5000.0).ok());
+  std::map<QueryId, QueryAccuracy> reports;
+  for (const QueryAccuracy& report : service.auditor()->Completed()) {
+    reports.emplace(report.id, report);
+  }
+  session->Close();
+  return reports;
+}
+
+TEST(ServiceAuditTest, BudgetedTrajectoriesScoreLikeFullOnes) {
+  constexpr std::size_t kBudget = 256;
+  constexpr double kQuantum = 0.1;
+  // Fixed tolerances for a thinned trajectory against the full one.
+  constexpr double kMapeTolerance = 0.01;
+  constexpr double kBiasTolerance = 0.01;
+  constexpr double kConvergenceSlack = 0.01;  // plus one stride, one-sided
+
+  const auto budgeted = RunScqAudit(kBudget);
+  const auto full = RunScqAudit(std::size_t{1} << 20);
+  ASSERT_EQ(budgeted.size(), 203u);
+  ASSERT_EQ(full.size(), budgeted.size());
+
+  int long_queries = 0;
+  for (const auto& [id, expected] : full) {
+    const QueryAccuracy& actual = budgeted.at(id);
+    ASSERT_TRUE(expected.finished);
+    // A query is observed once per quantum it is live; the stride is
+    // the smallest power of two that fits those into the budget.
+    const double lifetime_quanta = expected.lifetime / kQuantum;
+    const double observations = std::ceil(lifetime_quanta) + 2.0;
+    double stride = 1.0;
+    while (observations > stride * kBudget) stride *= 2.0;
+    if (lifetime_quanta >= 2000.0) ++long_queries;
+
+    for (const bool single : {true, false}) {
+      SCOPED_TRACE("query " + std::to_string(id) +
+                   (single ? " single" : " multi"));
+      const EstimatorScore& want = single ? expected.single : expected.multi;
+      const EstimatorScore& got = single ? actual.single : actual.multi;
+      EXPECT_EQ(got.monotonicity_violations, want.monotonicity_violations);
+      if (stride == 1.0) {
+        // Within the budget nothing was thinned: bit-identical scores.
+        EXPECT_EQ(got.samples, want.samples);
+        EXPECT_EQ(got.mape, want.mape);
+        EXPECT_EQ(got.bias, want.bias);
+        EXPECT_EQ(got.converged_at, want.converged_at);
+        EXPECT_EQ(got.converged_fraction, want.converged_fraction);
+        continue;
+      }
+      EXPECT_NEAR(got.mape, want.mape, kMapeTolerance);
+      EXPECT_NEAR(got.bias, want.bias, kBiasTolerance);
+      // Convergence is one-sided: thinning can skip a late, isolated
+      // band violation, so the budgeted trajectory may settle earlier
+      // than the full one, but never more than one stride later.
+      // "Never settled" counts as settling at the end of the scored
+      // window, 1 - min_truth_fraction of the lifetime.
+      const auto settled = [](const EstimatorScore& score) {
+        return score.converged_fraction != kUnknown
+                   ? score.converged_fraction
+                   : 1.0 - AuditorOptions{}.min_truth_fraction;
+      };
+      EXPECT_LE(settled(got), settled(want) + stride / lifetime_quanta +
+                                  kConvergenceSlack);
+    }
+  }
+  EXPECT_EQ(long_queries, 3);
+}
+
+TEST(ServiceAuditTest, EveryTerminalQueryIsFedExactlyOnce) {
+  storage::Catalog catalog;
+  fault::FaultInjector injector;
+  service::PiServiceOptions options;
+  options.rdbms.processing_rate = 100.0;
+  options.rdbms.quantum = 0.1;
+  options.rdbms.max_concurrent = 2;
+  options.rdbms.cost_model.noise_sigma = 0.0;
+  options.start_ticker = false;
+  options.fault = &injector;
+  service::PiService service(&catalog, options);
+  auto session = service.OpenSession("once");
+  const EstimateAuditor* auditor = service.auditor();
+
+  // After every quantum the auditor agrees with the published snapshot
+  // (the last one it was fed): one live trajectory per live row, and
+  // one score or abort per terminal row.
+  const auto check = [&](const char* step) {
+    SCOPED_TRACE(step);
+    const auto snapshot = service.snapshot();
+    std::uint64_t live = 0;
+    std::uint64_t terminal = 0;
+    for (const service::QueryProgress& query : snapshot->queries) {
+      ++(query.terminal() ? terminal : live);
+    }
+    const AccuracyAggregate agg = auditor->Aggregate();
+    EXPECT_EQ(auditor->live_queries(), live);
+    EXPECT_EQ(agg.queries_scored + agg.queries_aborted, terminal);
+  };
+
+  auto first = session->Submit(QuerySpec::Synthetic(1e4));
+  auto second = session->Submit(QuerySpec::Synthetic(1e4));
+  auto queued = session->Submit(QuerySpec::Synthetic(1e4));
+  ASSERT_TRUE(first.ok() && second.ok() && queued.ok());
+  ASSERT_TRUE(service.Advance(0.1).ok());
+  check("two running, one queued");
+  ASSERT_EQ(service.snapshot()->num_queued, 1);
+
+  // Cancelled while still queued.
+  ASSERT_TRUE(session->Abort(*queued).ok());
+  ASSERT_TRUE(service.Advance(0.1).ok());
+  check("cancelled while queued");
+  EXPECT_EQ(auditor->Aggregate().queries_aborted, 1u);
+
+  // Submitted and finished within one quantum: never seen live.
+  ASSERT_TRUE(session->Abort(*second).ok());
+  ASSERT_TRUE(service.Advance(0.1).ok());
+  ASSERT_TRUE(session->Submit(QuerySpec::Synthetic(1.0)).ok());
+  ASSERT_TRUE(service.Advance(0.1).ok());
+  check("finished in its submit quantum");
+  EXPECT_EQ(auditor->Aggregate().queries_scored, 1u);
+  EXPECT_EQ(auditor->Aggregate().queries_aborted, 2u);
+
+  // Terminal during delayed publications: the pending ids carry over
+  // to the next fed snapshot.
+  injector.ArmSchedule(fault::kServicePublishDelay, {0, 1});
+  ASSERT_TRUE(session->Submit(QuerySpec::Synthetic(1.0)).ok());
+  ASSERT_TRUE(service.Advance(0.1).ok());  // delayed; it finishes
+  check("first delayed quantum");
+  auto late = session->Submit(QuerySpec::Synthetic(1e4));
+  ASSERT_TRUE(late.ok());
+  ASSERT_TRUE(service.Advance(0.1).ok());  // delayed
+  ASSERT_TRUE(session->Abort(*late).ok());
+  check("second delayed quantum");
+  EXPECT_EQ(auditor->Aggregate().queries_scored, 1u);
+  ASSERT_TRUE(service.Advance(0.1).ok());  // fed again
+  check("first fed quantum after the delay");
+  EXPECT_EQ(auditor->Aggregate().queries_scored, 2u);
+  EXPECT_EQ(auditor->Aggregate().queries_aborted, 3u);
+
+  ASSERT_TRUE(service.AdvanceUntilIdle(/*deadline=*/1000.0).ok());
+  check("idle");
+  const AccuracyAggregate agg = auditor->Aggregate();
+  EXPECT_EQ(agg.queries_scored, 3u);
+  EXPECT_EQ(agg.queries_aborted, 3u);
+  EXPECT_EQ(auditor->live_queries(), 0u);
+  EXPECT_EQ(auditor->retained_samples(), 0u);
+  EXPECT_EQ(service.metrics()->gauge("obs.auditor_samples")->value(), 0.0);
   session->Close();
 }
 
