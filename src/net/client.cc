@@ -38,6 +38,7 @@ Status SnapshotView::Apply(const SnapshotFrame& frame, bool is_full) {
     }
     ++deltas_applied_;
   }
+  for (QueryId id : frame.removed) rows_.erase(id);
   for (const auto& row : frame.rows) {
     rows_[row.id] = row;
   }

@@ -161,17 +161,18 @@ std::string DeltaEncoder::Encode(const service::SnapshotPtr& next,
   // row set, and deltas stay self-contained.
   frame.shard_loads = next->shard_loads;
 
-  bool full = last_ == nullptr;
+  const bool full = last_ == nullptr;
   std::uint64_t skipped = 0;
   if (!full) {
-    // Snapshots are append-only by id and sorted: the previous rows
-    // must be a (changed-in-place) prefix-by-id subset of the next.
-    // Merge-walk both; any id that vanished means the stream restarted
-    // — fall back to a full frame.
+    // Both row sets are sorted by id: one merge-walk finds the changed
+    // and new rows, and the ids that left (reaped terminal queries).
     const auto& old_rows = last_->queries;
     const auto& new_rows = next->queries;
     std::size_t oi = 0;
     for (const auto& row : new_rows) {
+      while (oi < old_rows.size() && old_rows[oi].id < row.id) {
+        frame.removed.push_back(old_rows[oi++].id);
+      }
       if (oi < old_rows.size() && old_rows[oi].id == row.id) {
         if (RowChanged(old_rows[oi], row)) {
           frame.rows.push_back(row);
@@ -179,19 +180,15 @@ std::string DeltaEncoder::Encode(const service::SnapshotPtr& next,
           ++skipped;
         }
         ++oi;
-      } else if (oi < old_rows.size() && old_rows[oi].id < row.id) {
-        full = true;  // a previously-known id disappeared
-        break;
       } else {
         frame.rows.push_back(row);  // new query
       }
     }
-    if (oi < old_rows.size() && !full) full = true;
+    for (; oi < old_rows.size(); ++oi) frame.removed.push_back(old_rows[oi].id);
     frame.base_sequence = last_->sequence;
   }
   if (full) {
     frame.rows = next->queries;
-    frame.base_sequence = 0;
     ++stats_.fulls;
   } else {
     ++stats_.deltas;

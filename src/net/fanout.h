@@ -19,11 +19,12 @@
 //   it encoded for its subscriber and emits either a SNAPSHOT_FULL
 //   frame (first contact) or a SNAPSHOT_DELTA containing only rows
 //   that changed (state/priority/weight/degraded/queue position, or
-//   any estimate field, compared bitwise). Snapshots are append-only
-//   by query id and sorted, so the diff is one linear merge-walk.
-//   Coalescing falls out naturally: encoding against "latest" after
-//   missing k intermediate snapshots produces one delta with the net
-//   change.
+//   any estimate field, compared bitwise) plus the ids of rows that
+//   left (terminal queries reaped after the retention window).
+//   Snapshots are sorted by query id, so the diff is one linear
+//   merge-walk. Coalescing falls out naturally: encoding against
+//   "latest" after missing k intermediate snapshots produces one delta
+//   with the net change.
 //
 //   Subscription — one in-process subscriber endpoint: a DeltaEncoder
 //   plus a bounded frame queue (frames × bytes caps). The producer
@@ -192,10 +193,10 @@ class DeltaEncoder {
 
   /// Encodes `next` as a wire frame for this subscriber: SNAPSHOT_FULL
   /// on first contact (or after Reset), SNAPSHOT_DELTA with only the
-  /// changed rows afterwards. Returns the encoded frame; `*is_full`
-  /// (optional) reports which. Never returns an empty string: an
-  /// unchanged-rows publish still yields a header-only delta so the
-  /// subscriber's sequence stays fresh.
+  /// changed rows and the removed ids afterwards. Returns the encoded
+  /// frame; `*is_full` (optional) reports which. Never returns an
+  /// empty string: an unchanged-rows publish still yields a
+  /// header-only delta so the subscriber's sequence stays fresh.
   std::string Encode(const service::SnapshotPtr& next,
                      bool* is_full = nullptr);
 

@@ -315,6 +315,10 @@ void EncodeBody(WireWriter* w, const SnapshotFrame& p) {
     w->F64(load.quiescent_eta);
     w->U8(load.degraded ? 1 : 0);
   }
+  if (!p.removed.empty()) {
+    w->U32(static_cast<std::uint32_t>(p.removed.size()));
+    for (QueryId id : p.removed) w->U64(id);
+  }
 }
 
 FrameType TypeOf(const FrameBody& body, bool full_snapshot) {
@@ -545,6 +549,18 @@ bool DecodeBody(WireReader* r, SnapshotFrame* p) {
     load.num_running = running;
     load.num_queued = queued;
     load.degraded = load_degraded != 0;
+  }
+  // Legacy peers end the payload here too: no removals.
+  if (r->remaining() == 0) return true;
+  std::uint32_t removed_count = 0;
+  if (!r->U32(&removed_count) || removed_count == 0 ||
+      removed_count > kMaxSnapshotRows ||
+      static_cast<std::size_t>(removed_count) * 8 > r->remaining()) {
+    return false;
+  }
+  p->removed.resize(removed_count);
+  for (QueryId& id : p->removed) {
+    if (!r->U64(&id)) return false;
   }
   return true;
 }

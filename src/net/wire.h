@@ -217,8 +217,8 @@ struct ErrorReply {
 /// SNAPSHOT_FULL / SNAPSHOT_DELTA: the push payload. A full frame
 /// carries every row; a delta carries only rows that changed since
 /// `base_sequence` (the last frame this subscriber was sent) — the
-/// subscriber merges by query id. Removals never occur: snapshots are
-/// append-only by query id, terminal rows simply stop changing.
+/// subscriber merges by query id — plus the ids of rows that left the
+/// snapshot since then (terminal queries past the retention window).
 struct SnapshotFrame {
   std::uint64_t sequence = 0;
   /// Delta only: the sequence this delta patches (0 in full frames).
@@ -240,6 +240,10 @@ struct SnapshotFrame {
   /// empty on single-shard streams. Always sent in full (N entries,
   /// tiny next to the row set), even in delta frames.
   std::vector<service::ShardLoad> shard_loads;
+  /// Delta only: ids the subscriber must erase, ascending. Encoded
+  /// after `shard_loads` and only when non-empty; a frame that ends
+  /// before it (every frame from a legacy peer) removes nothing.
+  std::vector<QueryId> removed;
 };
 
 using FrameBody =

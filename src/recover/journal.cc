@@ -164,10 +164,16 @@ Status RecordWriter::Open(const std::string& path, std::int64_t truncate_to) {
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (fd < 0) return Errno("open", path);
-  if (truncate_to >= 0 && ::ftruncate(fd, truncate_to) != 0) {
-    const Status status = Errno("ftruncate", path);
-    ::close(fd);
-    return status;
+  if (truncate_to >= 0) {
+    // A segment this call just created is already empty: skip the
+    // no-op truncate and its journaled inode update.
+    struct stat st {};
+    const bool sized = ::fstat(fd, &st) == 0 && st.st_size == truncate_to;
+    if (!sized && ::ftruncate(fd, truncate_to) != 0) {
+      const Status status = Errno("ftruncate", path);
+      ::close(fd);
+      return status;
+    }
   }
   fd_ = fd;
   path_ = path;

@@ -119,6 +119,12 @@ const Rdbms::Record* Rdbms::Find(QueryId id) const {
   return queries_[id - 1].get();
 }
 
+const Rdbms::Record* Rdbms::FindQueued(QueryId id) const {
+  const Record* record = Find(id);
+  return record != nullptr && record->state == QueryState::kQueued ? record
+                                                                   : nullptr;
+}
+
 Result<QueryId> Rdbms::Submit(const engine::QuerySpec& spec,
                               Priority priority) {
   obs::TraceSpan span(tracer_, "rdbms", "submit");
@@ -149,9 +155,8 @@ void Rdbms::AdmitFromQueue() {
          static_cast<int>(running_.size()) < options_.max_concurrent) {
     const QueryId id = admission_queue_.front();
     admission_queue_.pop_front();
+    if (FindQueued(id) == nullptr) continue;  // aborted in queue
     Record* record = Find(id);
-    if (!MQPI_DCHECK(record != nullptr)) continue;
-    if (record->state != QueryState::kQueued) continue;  // aborted in queue
     record->state = QueryState::kRunning;
     record->start_time = clock_.now();
     running_.push_back(id);
@@ -181,6 +186,21 @@ Status Rdbms::Abort(QueryId id) {
   record->finish_time = clock_.now();
   Emit(QueryEventKind::kAborted, *record);
   AdmitFromQueue();
+  return Status::OK();
+}
+
+Status Rdbms::Reap(QueryId id) {
+  const Record* record = Find(id);
+  if (record == nullptr) {
+    return Status::NotFound("query " + std::to_string(id) + " unknown");
+  }
+  if (record->state != QueryState::kFinished &&
+      record->state != QueryState::kAborted) {
+    return Status::FailedPrecondition(
+        "query " + std::to_string(id) + " is " +
+        std::string(QueryStateName(record->state)) + ", not terminal");
+  }
+  queries_[id - 1].reset();
   return Status::OK();
 }
 
@@ -441,7 +461,7 @@ bool Rdbms::Idle() const {
   if (!admission_queue_.empty()) {
     // Pending aborted entries don't count.
     for (QueryId id : admission_queue_) {
-      if (Find(id)->state == QueryState::kQueued) return false;
+      if (FindQueued(id) != nullptr) return false;
     }
   }
   // Blocked queries hold slots but cannot make progress; they do not
@@ -508,9 +528,9 @@ void Rdbms::VisitRunning(const QueryVisitor& fn) const {
 void Rdbms::VisitQueued(const QueryVisitor& fn) const {
   QueryInfo info;
   for (QueryId id : admission_queue_) {
-    const Record& record = *Find(id);
-    if (record.state != QueryState::kQueued) continue;  // lazily-removed
-    FillInfo(record, &info);
+    const Record* record = FindQueued(id);
+    if (record == nullptr) continue;  // lazily-removed
+    FillInfo(*record, &info);
     fn(info);
   }
 }
@@ -527,7 +547,17 @@ void Rdbms::VisitLive(const QueryVisitor& fn) const {
 void Rdbms::VisitQueries(const QueryVisitor& fn, QueryId after) const {
   QueryInfo info;
   for (std::size_t i = after; i < queries_.size(); ++i) {
+    if (queries_[i] == nullptr) continue;  // reaped
     FillInfo(*queries_[i], &info);
+    fn(info);
+  }
+}
+
+void Rdbms::VisitEach(std::span<const QueryId> ids,
+                      const QueryVisitor& fn) const {
+  QueryInfo info;
+  for (QueryId id : ids) {
+    FillInfo(*queries_[id - 1], &info);
     fn(info);
   }
 }
@@ -550,9 +580,7 @@ std::vector<QueryInfo> Rdbms::BlockedQueries() const {
 Result<int> Rdbms::QueuePosition(QueryId id) const {
   int position = 0;
   for (QueryId queued : admission_queue_) {
-    if (Find(queued)->state != QueryState::kQueued) {
-      continue;  // lazily-removed abort
-    }
+    if (FindQueued(queued) == nullptr) continue;  // lazily-removed abort
     if (queued == id) return position;
     ++position;
   }

@@ -24,6 +24,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,6 +151,17 @@ class Rdbms {
 
   Status SetPriority(QueryId id, Priority priority);
 
+  /// Frees a finished or aborted query's record (its operator tree
+  /// included). Afterwards the id answers like one never handed out:
+  /// info() and every control call return NotFound, and the Visit
+  /// passes and AllQueries() skip it. Ids are never reused. Fires no
+  /// event and leaves the load epoch alone — a terminal query is no
+  /// forecast input. NotFound for unknown or already-reaped ids,
+  /// FailedPrecondition for a query that is not terminal. Only a
+  /// long-lived owner that bounds its history (the PI service's
+  /// retention window) calls this; experiments never do.
+  Status Reap(QueryId id);
+
   /// Instantaneously advances a running query by `work` units without
   /// consuming simulated time. Experiment setup only — used to start a
   /// scenario with queries "at a random point of their execution"
@@ -214,13 +226,17 @@ class Rdbms {
   /// then the live admission-queue entries in admission order.
   void VisitLive(const QueryVisitor& fn) const;
   /// Every query with id > `after`, ascending — AllQueries() order.
-  /// Ids are dense from 1, so this costs O(ids visited).
+  /// Ids are dense from 1, so this costs O(ids visited); reaped ids
+  /// are skipped.
   void VisitQueries(const QueryVisitor& fn, QueryId after = 0) const;
+  /// The queries named by `ids`, in that order. Every id must have
+  /// been handed out and not reaped.
+  void VisitEach(std::span<const QueryId> ids, const QueryVisitor& fn) const;
 
   int num_running() const { return static_cast<int>(running_.size()); }
   int num_queued() const { return static_cast<int>(admission_queue_.size()); }
-  /// Queries ever submitted; the highest id handed out is the same
-  /// number (ids are dense from 1).
+  /// Queries ever submitted, reaped ones included; the highest id
+  /// handed out is the same number (ids are dense from 1).
   std::size_t num_queries() const { return queries_.size(); }
   bool Idle() const;
 
@@ -270,12 +286,16 @@ class Rdbms {
   QueryInfo MakeInfo(const Record& record) const;
   /// Overwrites every field of `*info` from `record`.
   void FillInfo(const Record& record, QueryInfo* info) const;
-  /// The record of `id`, or nullptr for 0, kInvalidQueryId and ids
-  /// never handed out.
+  /// The record of `id`, or nullptr for 0, kInvalidQueryId, ids never
+  /// handed out and reaped ids.
   const Record* Find(QueryId id) const;
   Record* Find(QueryId id) {
     return const_cast<Record*>(std::as_const(*this).Find(id));
   }
+  /// The record of an admission-queue entry that is still waiting, or
+  /// nullptr for a lazily removed one (aborted in the queue, and
+  /// possibly reaped since).
+  const Record* FindQueued(QueryId id) const;
 
   const storage::Catalog* catalog_;
   RdbmsOptions options_;
@@ -293,7 +313,7 @@ class Rdbms {
 
   std::uint64_t load_epoch_ = 0;
   /// Every query ever submitted; query `id` lives at index id - 1, so
-  /// the next id is size() + 1.
+  /// the next id is size() + 1. A reaped query leaves a null slot.
   std::vector<std::unique_ptr<Record>> queries_;
   std::vector<QueryId> running_;           // running + blocked hold slots
   std::deque<QueryId> admission_queue_;

@@ -62,6 +62,17 @@ std::vector<double> BiasBounds() {
 
 }  // namespace
 
+template <typename T, typename Lookup>
+T* PiService::Cached(std::atomic<T*>* slot, Lookup lookup) {
+  T* instrument = slot->load();
+  if (instrument == nullptr) {
+    // Racing resolvers get the same series back from the registry.
+    instrument = lookup();
+    slot->store(instrument);
+  }
+  return instrument;
+}
+
 PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
     : options_(std::move(options)),
       db_(std::make_unique<sched::Rdbms>(catalog, options_.rdbms)),
@@ -82,14 +93,25 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
   db_->AddEventListener([this](const sched::QueryEvent& event) {
     switch (event.kind) {
       case sched::QueryEventKind::kStarted:
-        metrics_.counter("queries.admitted")->Increment();
+        Cached(&admitted_, [&] {
+          return metrics_.counter("queries.admitted");
+        })->Increment();
         break;
       case sched::QueryEventKind::kFinished:
       case sched::QueryEventKind::kAborted: {
         const bool finished =
             event.kind == sched::QueryEventKind::kFinished;
-        metrics_.counter(finished ? "queries.finished" : "queries.aborted")
-            ->Increment();
+        if (finished) {
+          Cached(&finished_, [&] {
+            return metrics_.counter("queries.finished");
+          })->Increment();
+        } else {
+          Cached(&aborted_, [&] {
+            return metrics_.counter("queries.aborted");
+          })->Increment();
+        }
+        // The row's retention window opens at its finish time.
+        retiring_.emplace_back(event.info.finish_time, event.info.id);
         // The auditor scores a query once, from the first fed snapshot
         // after this transition; rows already terminal are never fed.
         if (options_.enable_auditor) {
@@ -98,11 +120,7 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
         auto session = sessions_.find(OwnerLocked(event.info.id));
         if (session != sessions_.end()) {
           session->second.live.erase(event.info.id);
-          if (finished) {
-            ++session->second.finished;
-          } else {
-            ++session->second.aborted;
-          }
+          ++(finished ? session->second.finished : session->second.aborted);
         }
         break;
       }
@@ -231,9 +249,12 @@ Result<QueryId> PiService::SubmitLocked(SessionState* session,
   }
   MQPI_DCHECK(*submitted == queries_.size() + 1);
   queries_.push_back({session->id, pi::SingleQueryPi(*submitted)});
+  visible_.push_back(*submitted);  // ids ascend, so visible_ stays sorted
   session->live.insert(*submitted);
   ++session->submitted;
-  metrics_.counter("service.submits")->Increment();
+  Cached(&submits_, [&] {
+    return metrics_.counter("service.submits");
+  })->Increment();
   return submitted;
 }
 
@@ -445,7 +466,8 @@ void PiService::StepAndPublish(SimTime dt) {
   obs::TraceSpan span(tracer_, "service", "step_and_publish");
   const auto start = WallClock::now();
   std::shared_ptr<ProgressSnapshot> snapshot;
-  std::vector<QueryId> terminal;  // fed to the auditor with `snapshot`
+  // Fed to the auditor with `snapshot`.
+  std::vector<obs::EstimateObservation> terminal;
   bool delayed = false;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -462,13 +484,22 @@ void PiService::StepAndPublish(SimTime dt) {
               fault_->ShouldFire(fault::kServicePublishDelay);
     if (!delayed) {
       snapshot = BuildSnapshotLocked();
-      metrics_.gauge("queries.running")->Set(snapshot->num_running);
-      metrics_.gauge("queries.queued")->Set(snapshot->num_queued);
-      metrics_.gauge("queries.blocked")->Set(snapshot->num_blocked);
-      metrics_.gauge("service.sim_time")->Set(snapshot->sim_time);
+      Cached(&running_gauge_, [&] {
+        return metrics_.gauge("queries.running");
+      })->Set(snapshot->num_running);
+      Cached(&queued_gauge_, [&] {
+        return metrics_.gauge("queries.queued");
+      })->Set(snapshot->num_queued);
+      Cached(&blocked_gauge_, [&] {
+        return metrics_.gauge("queries.blocked");
+      })->Set(snapshot->num_blocked);
+      Cached(&sim_time_gauge_, [&] {
+        return metrics_.gauge("service.sim_time");
+      })->Set(snapshot->sim_time);
       // Only a fed snapshot takes the pending terminal ids; a delayed
-      // quantum leaves them for the next one.
-      terminal.swap(auditor_terminal_pending_);
+      // quantum leaves them (and their records) for the next one.
+      terminal = TakeTerminalObservationsLocked();
+      ReapExpiredLocked();
     }
     RecordForecastCacheMetricsLocked();
     RecordDegradationMetricsLocked();
@@ -483,7 +514,7 @@ void PiService::StepAndPublish(SimTime dt) {
     span.arg("queries", static_cast<double>(snapshot->queries.size()));
     // Stale re-publications never reach the auditor — scoring the same
     // estimates twice would double-count trajectory samples.
-    if (options_.enable_auditor) FeedAuditor(*snapshot, std::move(terminal));
+    if (options_.enable_auditor) FeedAuditor(*snapshot, terminal);
     Publish(std::move(snapshot));
   }
   quanta_stepped_->Increment();
@@ -522,35 +553,58 @@ void PiService::PublishStaleCopy() {
   if (degraded) flight_.Trigger("degraded_publish");
 }
 
-void PiService::FeedAuditor(const ProgressSnapshot& snapshot,
-                            std::vector<QueryId> terminal) {
-  MQPI_PROF_SITE(prof, "service.feed_auditor");
-  const auto observation = [&](const QueryProgress& query) {
+std::vector<obs::EstimateObservation>
+PiService::TakeTerminalObservationsLocked() {
+  std::vector<obs::EstimateObservation> out;
+  if (auditor_terminal_pending_.empty()) return out;
+  // Id order, as the rows are: reports fold into the running sums in
+  // the order a full row scan would produce.
+  std::sort(auditor_terminal_pending_.begin(),
+            auditor_terminal_pending_.end());
+  out.reserve(auditor_terminal_pending_.size());
+  const SimTime now = db_->now();
+  // The fields a terminal snapshot row carries (ETAs published as 0),
+  // read from the record: the row itself may already have left the
+  // snapshots when publication was delayed past the retention window.
+  db_->VisitEach(auditor_terminal_pending_, [&](const sched::QueryInfo& info) {
     obs::EstimateObservation observation;
-    observation.id = query.id;
-    observation.time = snapshot.sim_time;
-    observation.eta_single = query.eta_single;
-    observation.eta_multi = query.eta_multi;
-    observation.priority = query.priority;
-    observation.arrival_time = query.arrival_time;
-    observation.terminal = query.terminal();
-    observation.finished = query.state == sched::QueryState::kFinished;
-    observation.finish_time = query.finish_time;
-    return observation;
-  };
+    observation.id = info.id;
+    observation.time = now;
+    observation.eta_single = 0.0;
+    observation.eta_multi = 0.0;
+    observation.priority = info.priority;
+    observation.arrival_time = info.arrival_time;
+    observation.terminal = true;
+    observation.finished = info.state == sched::QueryState::kFinished;
+    observation.finish_time = info.finish_time;
+    out.push_back(observation);
+  });
+  auditor_terminal_pending_.clear();
+  return out;
+}
+
+void PiService::FeedAuditor(
+    const ProgressSnapshot& snapshot,
+    const std::vector<obs::EstimateObservation>& terminal) {
+  MQPI_PROF_SITE(prof, "service.feed_auditor");
   std::vector<obs::QueryAccuracy> reports;
   std::size_t retained = 0;
   {
     obs::EstimateAuditor::Batch batch(&auditor_);
     for (const QueryProgress& query : snapshot.queries) {
-      if (!query.terminal()) batch.Observe(observation(query));
+      if (query.terminal()) continue;
+      obs::EstimateObservation observation;
+      observation.id = query.id;
+      observation.time = snapshot.sim_time;
+      observation.eta_single = query.eta_single;
+      observation.eta_multi = query.eta_multi;
+      observation.priority = query.priority;
+      observation.arrival_time = query.arrival_time;
+      observation.finish_time = query.finish_time;
+      batch.Observe(observation);
     }
-    // Id order, as the rows are: reports fold into the running sums in
-    // the order a full row scan would produce.
-    std::sort(terminal.begin(), terminal.end());
-    for (QueryId id : terminal) {
-      if (!MQPI_DCHECK(id >= 1 && id <= snapshot.queries.size())) continue;
-      auto report = batch.Observe(observation(snapshot.queries[id - 1]));
+    for (const obs::EstimateObservation& observation : terminal) {
+      auto report = batch.Observe(observation);
       if (report.has_value()) reports.push_back(std::move(*report));
     }
     retained = batch.retained_samples();
@@ -567,27 +621,66 @@ void PiService::RecordAccuracyMetrics(const obs::QueryAccuracy& report) {
                      report.id, "mape_multi", report.multi.mape);
   }
   if (!report.finished) return;  // aborted: no ground truth to score
-  const std::string priority(PriorityName(report.priority));
-  const auto record = [&](const char* estimator,
+  const auto record = [&](int index, const char* estimator,
                           const obs::EstimatorScore& score) {
-    const Labels labels{{"estimator", estimator}, {"priority", priority}};
     if (score.samples > 0) {
-      metrics_.histogram("pi.estimate_mape", labels, MapeBounds())
-          ->Observe(score.mape);
-      metrics_.histogram("pi.estimate_bias", labels, BiasBounds())
-          ->Observe(score.bias);
+      AccuracyInstruments& slots =
+          accuracy_[index][static_cast<int>(report.priority)];
+      const auto labels = [&] {
+        return Labels{{"estimator", estimator},
+                      {"priority", std::string(PriorityName(report.priority))}};
+      };
+      Cached(&slots.mape, [&] {
+        return metrics_.histogram("pi.estimate_mape", labels(), MapeBounds());
+      })->Observe(score.mape);
+      Cached(&slots.bias, [&] {
+        return metrics_.histogram("pi.estimate_bias", labels(), BiasBounds());
+      })->Observe(score.bias);
     }
-    metrics_.counter("pi.monotonicity_violations", {{"estimator", estimator}})
-        ->Increment(
-            static_cast<std::uint64_t>(score.monotonicity_violations));
+    Cached(&monotonicity_[index], [&] {
+      return metrics_.counter("pi.monotonicity_violations",
+                              {{"estimator", estimator}});
+    })->Increment(static_cast<std::uint64_t>(score.monotonicity_violations));
   };
-  record("single", report.single);
-  record("multi", report.multi);
-  metrics_.counter("pi.queries_scored")->Increment();
+  record(0, "single", report.single);
+  record(1, "multi", report.multi);
+  Cached(&queries_scored_, [&] {
+    return metrics_.counter("pi.queries_scored");
+  })->Increment();
+}
+
+void PiService::ExpireTerminalLocked() {
+  const SimTime now = db_->now();
+  const SimTime window =
+      options_.terminal_retention_quanta * options_.rdbms.quantum;
+  std::size_t closed = 0;
+  for (; closed < retiring_.size() &&
+         now - retiring_[closed].first >= window - kTimeEpsilon;
+       ++closed) {
+    const QueryId id = retiring_[closed].second;
+    ServedQuery& served = queries_[id - 1];
+    served = ServedQuery{};
+    served.reaped = true;
+    expired_.push_back(id);
+  }
+  if (closed == 0) return;
+  // One pass each, only in builds that expire something.
+  retiring_.erase(retiring_.begin(), retiring_.begin() + closed);
+  std::erase_if(visible_,
+                [this](QueryId id) { return queries_[id - 1].reaped; });
+}
+
+void PiService::ReapExpiredLocked() {
+  for (QueryId id : expired_) {
+    const Status status = db_->Reap(id);
+    MQPI_DCHECK(status.ok());
+  }
+  expired_.clear();
 }
 
 std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() {
   MQPI_PROF_SITE(prof, "service.build_snapshot");
+  ExpireTerminalLocked();
   auto snapshot = std::make_shared<ProgressSnapshot>();
   snapshot->sim_time = db_->now();
   snapshot->measured_rate = multi_.estimated_rate();
@@ -622,10 +715,9 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() {
     return *last_good;
   };
 
-  // One pass over the scheduler's records, ascending by id — the
-  // column's order too.
-  snapshot->queries.reserve(db_->num_queries());
-  db_->VisitQueries([&](const sched::QueryInfo& info) {
+  // One pass over the visible records, ascending by id.
+  snapshot->queries.reserve(visible_.size());
+  db_->VisitEach(visible_, [&](const sched::QueryInfo& info) {
     ServedQuery& served = queries_[info.id - 1];
     QueryProgress query;
     query.id = info.id;
@@ -689,11 +781,13 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() {
     }
     snapshot->queries.push_back(std::move(query));
   });
-  // Rows are dense by id, so queue positions land by index.
   int position = 0;
   db_->VisitQueued([&](const sched::QueryInfo& info) {
-    snapshot->queries[info.id - 1].queue_position = position++;
+    snapshot->Find(info.id)->queue_position = position++;
   });
+  Cached(&retained_queries_gauge_, [&] {
+    return metrics_.gauge("state.retained_queries");
+  })->Set(static_cast<double>(snapshot->queries.size()));
   return snapshot;
 }
 

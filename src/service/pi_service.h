@@ -11,6 +11,14 @@
 // the single-query PIs of the live queries, and publishes an immutable
 // ProgressSnapshot.
 //
+// Retention: a snapshot holds the live queries plus the terminal ones
+// that finished or aborted less than `terminal_retention_quanta`
+// quanta before it was built — a pure function of (finish time,
+// snapshot time, window), so replay and delayed publication agree.
+// Once a query leaves the snapshots, its column entry is cleared and
+// (after the auditor has scored it) its Rdbms record is reaped, so a
+// quantum costs O(live + retained), not O(queries ever submitted).
+//
 // Thread-safety contract:
 //   - All engine and PI state is guarded by one internal mutex
 //     (`state_mu_`); session control calls (Submit/Block/Resume/Abort/
@@ -49,6 +57,7 @@
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -111,6 +120,14 @@ struct PiServiceOptions {
   /// Closing a session aborts its still-live queries (and drops its
   /// scheduled arrivals either way).
   bool abort_queries_on_session_close = true;
+  /// Retention window for terminal queries, in quanta: a finished or
+  /// aborted query's row is in every snapshot built less than this
+  /// many quanta after its finish_time, and in none after. Then its
+  /// per-query state is freed: Session::Progress answers NotFound and
+  /// control calls on the id answer NotFound. Clients that act on the
+  /// last snapshot they saw (cancel unless it shows the row terminal)
+  /// need a window longer than their reaction time.
+  int terminal_retention_quanta = 10;
   /// Per-session cap on concurrently live (non-terminal) queries;
   /// Submit fails with FailedPrecondition at the cap, and a SubmitAt
   /// arrival that finds its session at the cap when it falls due is
@@ -384,13 +401,23 @@ class PiService {
   // past the staleness threshold.
   void PublishStaleCopy();
   // Feeds a freshly built snapshot to the auditor under one auditor
-  // lock: every non-terminal row, plus the rows of `terminal` (the ids
-  // that went terminal since the last fed snapshot). Then publishes
-  // accuracy metrics for the queries just scored. Called after
-  // state_mu_ is released.
+  // lock: every non-terminal row, plus `terminal` (one observation per
+  // query that went terminal since the last fed snapshot, in id
+  // order). Then publishes accuracy metrics for the queries just
+  // scored. Called after state_mu_ is released.
   void FeedAuditor(const ProgressSnapshot& snapshot,
-                   std::vector<QueryId> terminal);
+                   const std::vector<obs::EstimateObservation>& terminal);
   void RecordAccuracyMetrics(const obs::QueryAccuracy& report);
+  // Requires state_mu_. Takes the pending terminal ids as observations
+  // at the current time, read from their records (which outlive the
+  // retention window until this has run).
+  std::vector<obs::EstimateObservation> TakeTerminalObservationsLocked();
+  // Requires state_mu_. Drops from visible_ every terminal query whose
+  // retention window has closed by now, and clears its column entry.
+  void ExpireTerminalLocked();
+  // Requires state_mu_. Frees the Rdbms records of expired queries;
+  // runs only once the auditor has taken their terminal observations.
+  void ReapExpiredLocked();
   // Requires state_mu_.
   std::shared_ptr<ProgressSnapshot> BuildSnapshotLocked();
   void Publish(std::shared_ptr<ProgressSnapshot> snapshot);
@@ -425,13 +452,25 @@ class PiService {
   /// Per-query state, at index id - 1 like the Rdbms records. The
   /// last credible (finite, within-horizon) published ETAs are the
   /// carry values when an estimator degrades.
+  /// A reaped entry is cleared (owner 0, so control calls answer
+  /// NotFound) and flagged.
   struct ServedQuery {
     std::uint64_t session_id = 0;
-    pi::SingleQueryPi single;
+    pi::SingleQueryPi single{kInvalidQueryId};
     SimTime last_good_single = kUnknown;
     SimTime last_good_multi = kUnknown;
+    bool reaped = false;
   };
   std::vector<ServedQuery> queries_;
+  /// The ids a snapshot shows, ascending: every live query plus the
+  /// terminal ones inside the retention window. Appended at submit.
+  std::vector<QueryId> visible_;
+  /// (finish_time, id) of terminal queries still in visible_, in the
+  /// order they went terminal — finish times never decrease, so the
+  /// ones whose window has closed are a prefix.
+  std::vector<std::pair<SimTime, QueryId>> retiring_;
+  /// Expired ids whose Rdbms record is not freed yet.
+  std::vector<QueryId> expired_;
   std::priority_queue<ScheduledSubmit, std::vector<ScheduledSubmit>,
                       ScheduledLater>
       arrivals_;
@@ -484,6 +523,28 @@ class PiService {
   void RecordDegradationMetricsLocked();
 
   MetricsRegistry metrics_;
+  // Hot-path instruments resolved on first use, so a series appears in
+  // the exposition only once it has something to say. Atomic because
+  // accuracy metrics are recorded outside state_mu_.
+  template <typename T, typename Lookup>
+  static T* Cached(std::atomic<T*>* slot, Lookup lookup);
+  std::atomic<Counter*> admitted_{nullptr};
+  std::atomic<Counter*> finished_{nullptr};
+  std::atomic<Counter*> aborted_{nullptr};
+  std::atomic<Counter*> submits_{nullptr};
+  std::atomic<Gauge*> running_gauge_{nullptr};
+  std::atomic<Gauge*> queued_gauge_{nullptr};
+  std::atomic<Gauge*> blocked_gauge_{nullptr};
+  std::atomic<Gauge*> sim_time_gauge_{nullptr};
+  std::atomic<Gauge*> retained_queries_gauge_{nullptr};
+  /// Accuracy instruments, [estimator: single, multi][priority].
+  struct AccuracyInstruments {
+    std::atomic<Histogram*> mape{nullptr};
+    std::atomic<Histogram*> bias{nullptr};
+  };
+  AccuracyInstruments accuracy_[2][kNumPriorities];
+  std::atomic<Counter*> monotonicity_[2] = {nullptr, nullptr};
+  std::atomic<Counter*> queries_scored_{nullptr};
   // Hot-path instruments, resolved once.
   Counter* quanta_stepped_;
   Counter* snapshots_published_;

@@ -68,17 +68,20 @@ class Session {
   // ---- progress (snapshot reads; never block the ticker) --------------------
 
   /// Progress of any query in the latest snapshot (not just owned
-  /// ones). NotFound if the id has never been seen by a snapshot.
+  /// ones). NotFound if the id is not in it: not yet published, or
+  /// terminal for longer than the service's retention window.
   Result<QueryProgress> Progress(QueryId id) const;
 
-  /// This session's queries in the latest snapshot, sorted by id
-  /// (terminal queries included).
+  /// This session's queries in the latest snapshot, sorted by id: the
+  /// live ones plus the terminal ones still inside the retention
+  /// window.
   std::vector<QueryProgress> ListQueries() const;
 
   /// The whole latest snapshot (dashboards).
   SnapshotPtr snapshot() const;
 
   // ---- control (owned queries only) -----------------------------------------
+  // A query reaped after its retention window answers NotFound.
 
   Status Block(QueryId id);
   Status Resume(QueryId id);

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/priority.h"
@@ -100,8 +101,11 @@ struct ProgressSnapshot {
   /// Content is at least `stale_snapshot_quanta` quanta old — readers
   /// should treat every estimate in it as suspect.
   bool degraded = false;
-  /// All queries ever submitted, sorted by id (terminal ones included
-  /// so sessions can observe their final states).
+  /// The live queries plus the terminal ones still inside the
+  /// service's retention window (PiServiceOptions::
+  /// terminal_retention_quanta), sorted by id. A finished or aborted
+  /// query stays long enough for sessions to observe its final state,
+  /// then leaves every later snapshot.
   std::vector<QueryProgress> queries;
   /// Non-empty only on coordinator-merged snapshots: one row per
   /// shard, in shard order (see service/sharded_service.h).
@@ -113,6 +117,9 @@ struct ProgressSnapshot {
         queries.begin(), queries.end(), id,
         [](const QueryProgress& q, QueryId key) { return q.id < key; });
     return it != queries.end() && it->id == id ? &*it : nullptr;
+  }
+  QueryProgress* Find(QueryId id) {
+    return const_cast<QueryProgress*>(std::as_const(*this).Find(id));
   }
 };
 

@@ -283,6 +283,9 @@ TEST(ChaosSoakTest, ServiceSurvivesChaosAndRecovers) {
   options.max_queued_queries = 16;
   options.max_pending_arrivals = 8;
   options.stale_snapshot_quanta = 3;
+  // Retention is not the subject here: the final snapshot must still
+  // show every submitted query terminal.
+  options.terminal_retention_quanta = 1 << 30;
   service::PiService service(&catalog, options);
   auto session = service.OpenSession("chaos");
 

@@ -200,6 +200,8 @@ FrameBody RandomBody(Rng* rng) {
         load.degraded = rng->UniformInt(0, 1) == 1;
         body.shard_loads.push_back(load);
       }
+      const int removed = static_cast<int>(rng->UniformInt(0, 3));
+      for (int i = 0; i < removed; ++i) body.removed.push_back(rng->Next());
       return body;
     }
   }
@@ -434,7 +436,7 @@ TEST(DeltaEncoderTest, FirstContactIsFullThenOnlyChangedRows) {
   EXPECT_TRUE(std::get<SnapshotFrame>(decoded.body).rows.empty());
 }
 
-TEST(DeltaEncoderTest, NewQueriesRideDeltasVanishedIdsForceFull) {
+TEST(DeltaEncoderTest, NewQueriesAndVanishedIdsRideDeltas) {
   DeltaEncoder encoder;
   bool full = false;
 
@@ -455,10 +457,80 @@ TEST(DeltaEncoderTest, NewQueriesRideDeltasVanishedIdsForceFull) {
   ASSERT_EQ(std::get<SnapshotFrame>(decoded.body).rows.size(), 1u);
   EXPECT_EQ(std::get<SnapshotFrame>(decoded.body).rows[0].id, 7u);
 
-  // Id 2 vanishes (stream restart): full-frame fallback.
-  const auto s3 = MakeSnapshot(3, {Row(1, 0.1), Row(7, 0.1)});
+  EXPECT_TRUE(std::get<SnapshotFrame>(decoded.body).removed.empty());
+
+  // Ids 1 and 2 vanish (reaped), one in front of a surviving row and
+  // one behind the last: still a delta, naming both in `removed`.
+  const auto s3 = MakeSnapshot(3, {Row(2, 0.2), Row(7, 0.1)});
+  const auto s4 = MakeSnapshot(4, {Row(7, 0.1)});
   encoder.Encode(s3, &full);
-  EXPECT_TRUE(full);
+  EXPECT_FALSE(full);
+  std::string f4 = encoder.Encode(s4, &full);
+  EXPECT_FALSE(full);
+  ASSERT_EQ(TryDecodeFrame(f4.data(), f4.size(), kMaxPayloadBytes, &decoded,
+                           &consumed, &error),
+            DecodeResult::kFrame);
+  EXPECT_EQ(decoded.header.type, FrameType::kSnapshotDelta);
+  const auto& frame = std::get<SnapshotFrame>(decoded.body);
+  EXPECT_TRUE(frame.rows.empty());
+  EXPECT_EQ(frame.removed, (std::vector<QueryId>{2}));
+  EXPECT_EQ(frame.total_rows, 1u);
+  EXPECT_EQ(encoder.stats().fulls, 1u);
+  EXPECT_EQ(encoder.stats().deltas, 3u);
+}
+
+TEST(DeltaEncoderTest, DeltaWithoutRemovedDecodesAsNoRemovals) {
+  SnapshotFrame frame;
+  frame.sequence = 4;
+  frame.base_sequence = 3;
+  frame.total_rows = 1;
+  frame.rows.push_back(Row(7, 0.5));
+  const std::string with_loads = EncodeFrame(0, FrameBody(frame), false);
+  // A legacy peer's payload stops after the rows: cut the shard-load
+  // count off the end and patch the length prefix.
+  std::string legacy = with_loads.substr(0, with_loads.size() - 4);
+  const std::uint32_t legacy_len =
+      static_cast<std::uint32_t>(legacy.size() - kFrameHeaderBytes);
+  for (int i = 0; i < 4; ++i) {
+    legacy[i] = static_cast<char>(legacy_len >> (8 * i));  // little-endian
+  }
+  for (const std::string& bytes : {with_loads, legacy}) {
+    Frame decoded;
+    std::size_t consumed = 0;
+    Status error;
+    ASSERT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), kMaxPayloadBytes,
+                             &decoded, &consumed, &error),
+              DecodeResult::kFrame)
+        << error.ToString();
+    const auto& got = std::get<SnapshotFrame>(decoded.body);
+    EXPECT_TRUE(got.removed.empty());
+    ASSERT_EQ(got.rows.size(), 1u);
+    EXPECT_EQ(got.rows[0].id, 7u);
+  }
+
+  // With removals the field rides after the shard loads; a view erases
+  // the ids it names.
+  SnapshotView view;
+  SnapshotFrame first;
+  first.sequence = 3;
+  first.total_rows = 2;
+  first.rows = {Row(5, 0.1), Row(7, 0.4)};
+  ASSERT_TRUE(view.Apply(first, /*is_full=*/true).ok());
+  frame.removed = {5};
+  const std::string bytes = EncodeFrame(0, FrameBody(frame), false);
+  EXPECT_EQ(bytes.size(), with_loads.size() + 4 + 8);
+  Frame decoded;
+  std::size_t consumed = 0;
+  Status error;
+  ASSERT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), kMaxPayloadBytes,
+                           &decoded, &consumed, &error),
+            DecodeResult::kFrame);
+  const auto& got = std::get<SnapshotFrame>(decoded.body);
+  EXPECT_EQ(got.removed, (std::vector<QueryId>{5}));
+  ASSERT_TRUE(view.Apply(got, /*is_full=*/false).ok());
+  EXPECT_EQ(view.rows(), 1u);
+  EXPECT_EQ(view.Find(5), nullptr);
+  EXPECT_DOUBLE_EQ(view.Find(7)->fraction_done, 0.5);
 }
 
 TEST(DeltaEncoderTest, BitwiseComparisonTreatsNanAndInfSanely) {
@@ -544,6 +616,55 @@ TEST(SnapshotViewTest, GapInDeltaStreamIsRejected) {
   delta.total_rows = 0;
   const Status status = view.Apply(delta, /*is_full=*/false);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+}
+
+// A subscriber following a live service through many reaps: one full
+// frame on first contact, then only deltas (no restart when rows
+// leave), and the view it rebuilds equals every published snapshot.
+TEST(SnapshotViewTest, SubscriberStreamsThroughReapsOnDeltasAlone) {
+  storage::Catalog catalog;
+  PiServiceOptions options;
+  options.rdbms.processing_rate = 100.0;
+  options.rdbms.quantum = 0.1;
+  options.start_ticker = false;
+  options.terminal_retention_quanta = 3;
+  PiService service(&catalog, options);
+  auto session = service.OpenSession("reaper");
+  service::MetricsRegistry registry;
+  NetMetrics metrics(&registry);
+  auto subscription =
+      std::make_shared<Subscription>(Subscription::Options{});
+  LocalSubscriber consumer(subscription);
+
+  Rng rng(99);
+  std::size_t most_rows = 0;
+  for (int quantum = 0; quantum < 200; ++quantum) {
+    if (quantum < 150 && rng.UniformInt(0, 2) == 0) {
+      ASSERT_TRUE(
+          session->Submit(QuerySpec::Synthetic(rng.Uniform(1.0, 30.0))).ok());
+    }
+    ASSERT_TRUE(service.Advance(options.rdbms.quantum).ok());
+    const SnapshotPtr snapshot = service.snapshot();
+    ASSERT_TRUE(subscription->Deliver(snapshot, &metrics));
+    ASSERT_EQ(consumer.Pump(), 1);
+    const SnapshotView& view = consumer.view();
+    ASSERT_EQ(view.sequence(), snapshot->sequence);
+    ASSERT_EQ(view.rows(), snapshot->queries.size());
+    for (const QueryProgress& row : snapshot->queries) {
+      const QueryProgress* mirrored = view.Find(row.id);
+      ASSERT_NE(mirrored, nullptr) << "query " << row.id;
+      EXPECT_FALSE(DeltaEncoder::RowChanged(*mirrored, row));
+    }
+    most_rows = std::max(most_rows, snapshot->queries.size());
+  }
+  // Dozens of queries came and went, yet the view never held many.
+  EXPECT_GT(service.metrics()->counter("queries.finished")->value(), 30u);
+  EXPECT_LT(most_rows, 15u);
+  EXPECT_EQ(consumer.view().rows(), 0u);
+  EXPECT_EQ(metrics.full_frames->value(), 1u);
+  EXPECT_EQ(metrics.delta_frames->value(), 199u);
+  EXPECT_EQ(consumer.view().fulls_applied(), 1u);
+  session->Close();
 }
 
 // ---- fan-out hub ------------------------------------------------------------
@@ -672,10 +793,9 @@ TEST(SubscriptionMetricsTest, DeltaRowCountersMatchTheFramesOnTheWire) {
   rows[0].fraction_done = 0.15;
   rows.push_back(Row(7, 0.0));
   sequence.push_back(MakeSnapshot(4, rows));  // delta: 2 sent, 2 skipped
-  // Id 2 vanishes after row 1 was already compared unchanged: the full
-  // fallback sends every row and elides none.
-  sequence.push_back(
-      MakeSnapshot(5, {rows[0], rows[2], rows[3]}));  // full: 3 sent
+  // Id 2 vanishes (reaped) between unchanged rows: a delta naming it in
+  // `removed`, 0 rows sent, 3 skipped.
+  sequence.push_back(MakeSnapshot(5, {rows[0], rows[2], rows[3]}));
 
   std::uint64_t wire_sent = 0;
   std::uint64_t wire_skipped = 0;
@@ -695,12 +815,12 @@ TEST(SubscriptionMetricsTest, DeltaRowCountersMatchTheFramesOnTheWire) {
       wire_skipped += frame.total_rows - frame.rows.size();
     }
   }
-  EXPECT_EQ(wire_sent, 9u);
-  EXPECT_EQ(wire_skipped, 7u);
+  EXPECT_EQ(wire_sent, 6u);
+  EXPECT_EQ(wire_skipped, 10u);
   EXPECT_EQ(metrics.delta_rows_sent->value(), wire_sent);
   EXPECT_EQ(metrics.delta_rows_skipped->value(), wire_skipped);
-  EXPECT_EQ(metrics.full_frames->value(), 2u);
-  EXPECT_EQ(metrics.delta_frames->value(), 3u);
+  EXPECT_EQ(metrics.full_frames->value(), 1u);
+  EXPECT_EQ(metrics.delta_frames->value(), 4u);
 }
 
 TEST(SubscriptionShedTest, PoolShedsStalledConsumerAndOthersKeepFlowing) {

@@ -544,6 +544,9 @@ TEST(ServiceAuditTest, EveryTerminalQueryIsFedExactlyOnce) {
   options.rdbms.cost_model.noise_sigma = 0.0;
   options.start_ticker = false;
   options.fault = &injector;
+  // The check below counts terminal rows in the snapshot, so every
+  // terminal row stays; the retention variant is the next test.
+  options.terminal_retention_quanta = 1 << 30;
   service::PiService service(&catalog, options);
   auto session = service.OpenSession("once");
   const EstimateAuditor* auditor = service.auditor();
@@ -612,6 +615,69 @@ TEST(ServiceAuditTest, EveryTerminalQueryIsFedExactlyOnce) {
   EXPECT_EQ(auditor->live_queries(), 0u);
   EXPECT_EQ(auditor->retained_samples(), 0u);
   EXPECT_EQ(service.metrics()->gauge("obs.auditor_samples")->value(), 0.0);
+  session->Close();
+}
+
+// Freeing a reaped query waits for the auditor: queries that go
+// terminal during a publication outage longer than the retention
+// window have left the snapshots by the time publication resumes, yet
+// each is still fed exactly once, from its record.
+TEST(ServiceAuditTest, TerminalQueriesFedOnceAcrossDelayLongerThanRetention) {
+  storage::Catalog catalog;
+  fault::FaultInjector injector;
+  service::PiServiceOptions options;
+  options.rdbms.processing_rate = 100.0;
+  options.rdbms.quantum = 0.1;
+  options.rdbms.cost_model.noise_sigma = 0.0;
+  options.start_ticker = false;
+  options.fault = &injector;
+  options.terminal_retention_quanta = 2;
+  service::PiService service(&catalog, options);
+  auto session = service.OpenSession("outage");
+  const EstimateAuditor* auditor = service.auditor();
+
+  auto cancelled = session->Submit(QuerySpec::Synthetic(1e4));
+  auto survivor = session->Submit(QuerySpec::Synthetic(1e3));
+  ASSERT_TRUE(cancelled.ok() && survivor.ok());
+  ASSERT_TRUE(service.Advance(0.1).ok());
+  EXPECT_EQ(auditor->live_queries(), 2u);
+
+  // Six delayed quanta, three times the window.
+  injector.ArmSchedule(fault::kServicePublishDelay, {0, 1, 2, 3, 4, 5});
+  auto quick = session->Submit(QuerySpec::Synthetic(1.0));
+  ASSERT_TRUE(quick.ok());
+  ASSERT_TRUE(service.Advance(0.1).ok());  // `quick` finishes
+  ASSERT_TRUE(session->Abort(*cancelled).ok());
+  ASSERT_TRUE(service.Advance(0.5).ok());
+  EXPECT_EQ(service.metrics()->counter("service.stale_snapshots")->value(),
+            6u);
+  EXPECT_EQ(auditor->Aggregate().queries_scored, 0u);
+  EXPECT_EQ(auditor->Aggregate().queries_aborted, 0u);
+
+  // First fed snapshot: both terminal rows are past the window, so
+  // the snapshot no longer shows them, but the auditor gets each once.
+  ASSERT_TRUE(service.Advance(0.1).ok());
+  const auto snapshot = service.snapshot();
+  EXPECT_EQ(snapshot->Find(*quick), nullptr);
+  EXPECT_EQ(snapshot->Find(*cancelled), nullptr);
+  ASSERT_NE(snapshot->Find(*survivor), nullptr);
+  EXPECT_EQ(auditor->Aggregate().queries_scored, 1u);
+  EXPECT_EQ(auditor->Aggregate().queries_aborted, 1u);
+  EXPECT_EQ(auditor->live_queries(), 1u);
+  ASSERT_TRUE(auditor->ReportFor(*quick).ok());
+  EXPECT_TRUE(auditor->ReportFor(*quick)->finished);
+  ASSERT_TRUE(auditor->ReportFor(*cancelled).ok());
+  EXPECT_FALSE(auditor->ReportFor(*cancelled)->finished);
+  // Their state is freed: the ids are unknown from here on.
+  EXPECT_EQ(session->Progress(*quick).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(session->Abort(*cancelled).code(), StatusCode::kNotFound);
+
+  ASSERT_TRUE(service.AdvanceUntilIdle(/*deadline=*/100.0).ok());
+  const AccuracyAggregate agg = auditor->Aggregate();
+  EXPECT_EQ(agg.queries_scored, 2u);
+  EXPECT_EQ(agg.queries_aborted, 1u);
+  EXPECT_EQ(auditor->live_queries(), 0u);
+  EXPECT_EQ(auditor->retained_samples(), 0u);
   session->Close();
 }
 

@@ -357,6 +357,66 @@ INSTANTIATE_TEST_SUITE_P(
       return RegimeName(info.param);
     });
 
+// Retention across a crash: the journal is cut while terminal rows are
+// inside their window and earlier ones are already reaped, and the
+// original run lost publications to a delay fault that replay does not
+// reproduce. Visibility depends only on finish time, snapshot time and
+// the window, so the recovered probe — and the checkpoint's verifying
+// probe — are byte-identical.
+TEST(Recovery, CrashInsideRetentionWindowIsByteIdentical) {
+  TempDir dir;
+  PiServiceOptions options = ManualOptions();
+  options.terminal_retention_quanta = 3;
+  std::string pre;
+  {
+    fault::FaultInjector injector(kChaosSeed);
+    injector.ArmSchedule(fault::kServicePublishDelay, {4, 5, 6, 7, 8, 20});
+    DurableLog log;
+    ASSERT_TRUE(log.Open(dir.path(), DurableLog::Options{}).ok());
+    PiServiceOptions live = options;
+    live.fault = &injector;
+    live.event_sink = &log;
+    PiService service(TestCatalog(), live);
+    auto session = service.OpenSession("short");
+    auto cancelled = session->Submit(QuerySpec::Synthetic(1e4));
+    ASSERT_TRUE(cancelled.ok());
+    std::vector<QueryId> ids = {*cancelled};
+    for (int quantum = 0; quantum < 40; ++quantum) {
+      if (quantum % 2 == 0) {
+        auto id = session->Submit(QuerySpec::Synthetic(5.0 + quantum % 7));
+        ASSERT_TRUE(id.ok());
+        ids.push_back(*id);
+      }
+      // Cancelled two quanta before the crash: still in its window.
+      if (quantum == 38) {
+        ASSERT_TRUE(session->Abort(*cancelled).ok());
+      }
+      if (quantum == 25) {
+        ASSERT_TRUE(Checkpoint(&service, &log).ok());
+      }
+      ASSERT_TRUE(service.Advance(0.1).ok());
+    }
+    const service::SnapshotPtr probe = service.BuildUnpublishedSnapshot();
+    // Inside a window: some rows terminal but retained, older ones gone.
+    int retained = 0;
+    for (const auto& row : probe->queries) retained += row.terminal();
+    EXPECT_GT(retained, 1);
+    ASSERT_NE(probe->Find(*cancelled), nullptr);
+    EXPECT_TRUE(probe->Find(*cancelled)->terminal());
+    EXPECT_LT(probe->queries.size(), ids.size());
+    pre = EncodeSnapshotBytes(probe);
+    ASSERT_TRUE(log.Sync().ok());
+    service.SetEventSink(nullptr);
+    session->Close();
+  }
+  auto recovered = Recover(TestCatalog(), dir.path(), options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_TRUE(recovered->had_checkpoint);
+  EXPECT_TRUE(recovered->verified) << "checkpoint verification failed";
+  EXPECT_EQ(EncodeSnapshotBytes(recovered->service->BuildUnpublishedSnapshot()),
+            pre);
+}
+
 // Kill-mid-soak: with checkpoints cut under churn, truncate the active
 // journal at EVERY byte offset of its final record. Each truncation
 // must recover cleanly — either the full history (cut at the record

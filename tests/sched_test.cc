@@ -40,6 +40,49 @@ TEST_F(RdbmsTest, SingleQueryRunsAtFullRate) {
   EXPECT_DOUBLE_EQ(info->completed_work, 200.0);
 }
 
+TEST_F(RdbmsTest, ReapFreesOnlyTerminalQueriesAndForgetsTheirIds) {
+  auto options = BaseOptions();
+  options.max_concurrent = 1;
+  Rdbms db(&catalog_, options);
+  auto done = db.Submit(QuerySpec::Synthetic(5.0));
+  auto running = db.Submit(QuerySpec::Synthetic(500.0));
+  auto dropped = db.Submit(QuerySpec::Synthetic(50.0));
+  auto waiting = db.Submit(QuerySpec::Synthetic(50.0));
+  ASSERT_TRUE(done.ok() && running.ok() && dropped.ok() && waiting.ok());
+  db.Step();  // `done` finishes; `running` takes the only slot
+  ASSERT_EQ(db.info(*done)->state, QueryState::kFinished);
+
+  EXPECT_EQ(db.Reap(*running).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(db.Reap(*waiting).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(db.Reap(99).code(), StatusCode::kNotFound);
+  ASSERT_TRUE(db.Reap(*done).ok());
+  EXPECT_EQ(db.Reap(*done).code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.info(*done).status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.Abort(*done).code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.QueuePosition(*done).status().code(), StatusCode::kNotFound);
+
+  // Aborted in the queue, then reaped while its lazily removed entry
+  // still sits in the admission queue: every queue walk skips it.
+  ASSERT_TRUE(db.Abort(*dropped).ok());
+  ASSERT_TRUE(db.Reap(*dropped).ok());
+  EXPECT_EQ(*db.QueuePosition(*waiting), 0);
+  ASSERT_EQ(db.QueuedQueries().size(), 1u);
+  EXPECT_EQ(db.QueuedQueries()[0].id, *waiting);
+  EXPECT_FALSE(db.Idle());
+
+  std::vector<QueryId> visited;
+  db.VisitQueries([&](const QueryInfo& info) { visited.push_back(info.id); });
+  EXPECT_EQ(visited, (std::vector<QueryId>{*running, *waiting}));
+  ASSERT_EQ(db.AllQueries().size(), 2u);
+  EXPECT_EQ(db.num_queries(), 4u);  // ids are never reused
+
+  db.RunUntilIdle();
+  EXPECT_EQ(db.info(*waiting)->state, QueryState::kFinished);
+  auto next = db.Submit(QuerySpec::Synthetic(1.0));
+  ASSERT_TRUE(next.ok());
+  EXPECT_EQ(*next, 5u);
+}
+
 TEST_F(RdbmsTest, EqualPrioritiesShareFairly) {
   Rdbms db(&catalog_, BaseOptions());
   auto a = db.Submit(QuerySpec::Synthetic(100.0));

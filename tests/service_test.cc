@@ -12,11 +12,14 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "engine/planner.h"
+#include "net/wire.h"
 #include "pi/pi_manager.h"
 #include "sched/rdbms.h"
 #include "service/metrics.h"
@@ -41,6 +44,10 @@ PiServiceOptions ManualOptions() {
   options.start_ticker = false;
   return options;
 }
+
+// A retention window longer than any test run here: every terminal row
+// stays in every later snapshot.
+constexpr int kWholeRunQuanta = 1 << 30;
 
 // A time/estimate value a snapshot may legally carry: the kUnknown
 // sentinel, or a non-negative (possibly infinite) number — never NaN,
@@ -212,7 +219,10 @@ TEST(MetricsTest, ConcurrentIncrementsDoNotLoseCounts) {
 
 TEST(ServiceManualTest, SessionLifecycleAndSnapshotProgress) {
   storage::Catalog catalog;
-  PiService service(&catalog, ManualOptions());
+  auto options = ManualOptions();
+  // Retention is not the subject here: keep every terminal row.
+  options.terminal_retention_quanta = kWholeRunQuanta;
+  PiService service(&catalog, options);
   auto session = service.OpenSession("client-a");
 
   // Before any tick: the never-null sequence-0 snapshot.
@@ -441,7 +451,10 @@ TEST(ServiceManualTest, CloseAbortsLiveQueriesAndDropsArrivals) {
 
 TEST(ServiceManualTest, ScheduledArrivalsSubmitOnTime) {
   storage::Catalog catalog;
-  PiService service(&catalog, ManualOptions());
+  auto options = ManualOptions();
+  // Retention is not the subject here: keep every terminal row.
+  options.terminal_retention_quanta = kWholeRunQuanta;
+  PiService service(&catalog, options);
   auto session = service.OpenSession();
 
   ASSERT_TRUE(session->SubmitAt(1.0, QuerySpec::Synthetic(30.0)).ok());
@@ -472,6 +485,8 @@ TEST(ServiceManualTest, ZipfScheduleReplayDrivesServiceTraffic) {
 
   auto options = ManualOptions();
   options.rdbms.processing_rate = 500.0;
+  // Retention is not the subject here: keep every terminal row.
+  options.terminal_retention_quanta = kWholeRunQuanta;
   PiService service(&catalog, options);
   auto session = service.OpenSession("replay");
 
@@ -507,7 +522,10 @@ TEST(ServiceManualTest, ZipfScheduleReplayDrivesServiceTraffic) {
 // the epoch's sweep by id and the reference from the twin's identical
 // sweep, one row at a time. Two sessions own the queries, and one of
 // them arrives through SubmitAt, so the owner column and both submit
-// paths are checked.
+// paths are checked. The service keeps its default retention window,
+// so the reference is filtered by the same rule: live queries, plus
+// terminal ones that finished less than the window before the
+// snapshot.
 TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
   storage::Catalog catalog;
   storage::TpcrGenerator generator(
@@ -554,6 +572,11 @@ TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
     ASSERT_TRUE(reference.ok()) << reference.ToString();
   };
 
+  const SimTime window =
+      options.terminal_retention_quanta * options.rdbms.quantum;
+  // Each query's row in the last snapshot that showed it.
+  std::vector<QueryProgress> last_rows(specs.size());
+  int reaped_quanta = 0;
   int fallback_quanta = 0;
   int fast_quanta = 0;
   for (int quantum = 1; quantum <= 600 && !twin.Idle(); ++quantum) {
@@ -591,7 +614,16 @@ TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
     if (twin.num_running() > 0) ++(fast_path ? fast_quanta : fallback_quanta);
 
     const auto snapshot = service.snapshot();
-    const auto infos = twin.AllQueries();
+    std::vector<sched::QueryInfo> infos;
+    for (const sched::QueryInfo& info : twin.AllQueries()) {
+      const bool terminal = info.state == sched::QueryState::kFinished ||
+                            info.state == sched::QueryState::kAborted;
+      if (!terminal ||
+          twin.now() - info.finish_time < window - kTimeEpsilon) {
+        infos.push_back(info);
+      }
+    }
+    if (infos.size() < twin.num_queries()) ++reaped_quanta;
     ASSERT_EQ(snapshot->queries.size(), infos.size());
     EXPECT_EQ(snapshot->sim_time, twin.now());
     EXPECT_EQ(snapshot->measured_rate, multi.estimated_rate());
@@ -646,12 +678,16 @@ TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
     EXPECT_EQ(snapshot->num_running, running);
     EXPECT_EQ(snapshot->num_queued, queued);
     EXPECT_EQ(snapshot->num_blocked, blocked);
+    for (const QueryProgress& row : snapshot->queries) {
+      last_rows[row.id - 1] = row;
+    }
     if (HasFailure()) break;  // one quantum's diff is enough to debug
   }
 
   ASSERT_TRUE(twin.Idle());
-  const auto final_rows = service.snapshot()->queries;
-  ASSERT_EQ(final_rows.size(), specs.size());
+  // Rows did leave the snapshots while the run went on.
+  EXPECT_GT(reaped_quanta, 0);
+  const auto& final_rows = last_rows;
   EXPECT_EQ(final_rows[0].state, sched::QueryState::kFinished);
   EXPECT_EQ(final_rows[1].state, sched::QueryState::kFinished);
   EXPECT_EQ(final_rows[1].priority, Priority::kHigh);
@@ -668,6 +704,168 @@ TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
   EXPECT_GT(metrics->counter("pi.incremental_fast_path")->value(), 0u);
   alice->Close();
   bob->Close();
+}
+
+// ---- retention --------------------------------------------------------------
+
+// A terminal row is in exactly the snapshots built less than K quanta
+// after its finish time: K step snapshots for a query that finishes
+// inside a quantum, K - 1 for one aborted between quanta (its finish
+// time is the start of the next quantum). Afterwards the id is gone
+// from Progress, ListQueries and control.
+TEST(ServiceRetentionTest, TerminalRowLivesInExactlyTheSnapshotsOfItsWindow) {
+  storage::Catalog catalog;
+  auto options = ManualOptions();
+  PiService service(&catalog, options);
+  const int k = options.terminal_retention_quanta;
+  ASSERT_EQ(k, 10);  // the documented default
+  auto session = service.OpenSession("retention");
+
+  // C = 100 U/s: the short queries finish at different quanta.
+  std::vector<QueryId> ids;
+  for (double cost : {5.0, 30.0, 60.0, 400.0}) {
+    auto id = session->Submit(QuerySpec::Synthetic(cost));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  const QueryId cancelled = ids.back();
+  std::map<QueryId, SimTime> finish;
+  std::map<QueryId, int> terminal_snapshots;
+  const SimTime window = k * options.rdbms.quantum;
+  for (int quantum = 1; quantum <= 60; ++quantum) {
+    if (quantum == 7) {
+      ASSERT_TRUE(session->Abort(cancelled).ok());
+    }
+    ASSERT_TRUE(service.Advance(options.rdbms.quantum).ok());
+    const SnapshotPtr snapshot = service.snapshot();
+    SCOPED_TRACE("t = " + std::to_string(snapshot->sim_time));
+    EXPECT_EQ(service.metrics()->gauge("state.retained_queries")->value(),
+              static_cast<double>(snapshot->queries.size()));
+    const auto listed = session->ListQueries();
+    for (QueryId id : ids) {
+      const QueryProgress* row = snapshot->Find(id);
+      const bool is_listed =
+          std::any_of(listed.begin(), listed.end(),
+                      [id](const QueryProgress& q) { return q.id == id; });
+      EXPECT_EQ(is_listed, row != nullptr);
+      if (row != nullptr && row->terminal()) {
+        finish.emplace(id, row->finish_time);
+        ++terminal_snapshots[id];
+      }
+      if (!finish.count(id)) {
+        ASSERT_NE(row, nullptr) << "live query " << id << " missing";
+        continue;
+      }
+      const bool retained =
+          snapshot->sim_time - finish[id] < window - kTimeEpsilon;
+      EXPECT_EQ(row != nullptr, retained) << "query " << id;
+      if (retained) {
+        // Still visible: control answers "already terminal".
+        EXPECT_EQ(session->Abort(id).code(), StatusCode::kFailedPrecondition);
+      } else {
+        EXPECT_EQ(session->Progress(id).status().code(),
+                  StatusCode::kNotFound);
+        EXPECT_EQ(session->Abort(id).code(), StatusCode::kNotFound);
+        EXPECT_EQ(session->SetPriority(id, Priority::kHigh).code(),
+                  StatusCode::kNotFound);
+      }
+    }
+  }
+  ASSERT_EQ(finish.size(), ids.size());
+  for (QueryId id : ids) {
+    EXPECT_EQ(terminal_snapshots[id], id == cancelled ? k - 1 : k)
+        << "query " << id;
+  }
+  EXPECT_TRUE(service.snapshot()->queries.empty());
+  EXPECT_EQ(service.metrics()->gauge("state.retained_queries")->value(), 0.0);
+  EXPECT_EQ(session->LiveQueries(), 0u);
+  session->Close();
+}
+
+// Metamorphic check: retention changes which terminal rows a snapshot
+// carries and nothing else. A service keeping every row and one with
+// the default window, driven through the same churn (arrivals, a
+// queue, the §2.4 arrival model, cancels), publish byte-identical rows
+// for every query the windowed one shows, the same snapshot-level
+// figures, and the same accuracy scores.
+TEST(ServiceRetentionTest, WindowedAndKeepAllServicesPublishIdenticalRows) {
+  storage::Catalog catalog;
+  auto options = ManualOptions();
+  options.rdbms.processing_rate = 1000.0;
+  options.rdbms.max_concurrent = 6;  // bursts queue
+  options.future_prior = {.lambda = 9.0, .avg_cost = 100.0};
+  PiService windowed(&catalog, options);
+  options.terminal_retention_quanta = kWholeRunQuanta;
+  PiService keep_all(&catalog, options);
+  auto a = windowed.OpenSession("churn");
+  auto b = keep_all.OpenSession("churn");
+
+  const auto row_bytes = [](const QueryProgress& row) {
+    net::WireWriter writer;
+    net::EncodeSnapshotRow(&writer, row);
+    return writer.Take();
+  };
+  Rng rng(2024);
+  std::vector<std::pair<int, QueryId>> cancels;  // (quantum, id)
+  int compared_rows = 0;
+  int reaped_rows = 0;
+  for (int quantum = 0; quantum < 400; ++quantum) {
+    for (int n = static_cast<int>(rng.UniformInt(0, 2)); n > 0; --n) {
+      const auto spec = QuerySpec::Synthetic(10.0 + rng.Exponential(0.011));
+      auto id_a = a->Submit(spec);
+      auto id_b = b->Submit(spec);
+      ASSERT_TRUE(id_a.ok() && id_b.ok());
+      ASSERT_EQ(*id_a, *id_b);
+      if (rng.NextDouble() < 0.1) {
+        cancels.emplace_back(
+            quantum + static_cast<int>(rng.UniformInt(1, 5)), *id_a);
+      }
+    }
+    for (const auto& [due, id] : cancels) {
+      if (due != quantum) continue;
+      const QueryProgress* row = keep_all.snapshot()->Find(id);
+      if (row == nullptr || row->terminal()) continue;
+      EXPECT_EQ(a->Abort(id).code(), b->Abort(id).code());
+    }
+    ASSERT_TRUE(windowed.Advance(options.rdbms.quantum).ok());
+    ASSERT_TRUE(keep_all.Advance(options.rdbms.quantum).ok());
+
+    const SnapshotPtr small = windowed.snapshot();
+    const SnapshotPtr full = keep_all.snapshot();
+    SCOPED_TRACE("quantum " + std::to_string(quantum));
+    EXPECT_EQ(small->sequence, full->sequence);
+    EXPECT_EQ(small->sim_time, full->sim_time);
+    EXPECT_EQ(small->num_running, full->num_running);
+    EXPECT_EQ(small->num_queued, full->num_queued);
+    EXPECT_EQ(small->num_blocked, full->num_blocked);
+    EXPECT_EQ(small->measured_rate, full->measured_rate);
+    EXPECT_EQ(small->quiescent_eta, full->quiescent_eta);
+    for (const QueryProgress& row : full->queries) {
+      const QueryProgress* mirror = small->Find(row.id);
+      if (mirror == nullptr) {
+        ASSERT_TRUE(row.terminal()) << "live query " << row.id << " missing";
+        ++reaped_rows;
+        continue;
+      }
+      ASSERT_EQ(row_bytes(*mirror), row_bytes(row)) << "query " << row.id;
+      ++compared_rows;
+    }
+    if (HasFailure()) break;
+  }
+  EXPECT_GT(compared_rows, 0);
+  EXPECT_GT(reaped_rows, 0);
+  EXPECT_LT(windowed.snapshot()->queries.size(),
+            keep_all.snapshot()->queries.size());
+
+  const obs::AccuracyAggregate small_agg = windowed.auditor()->Aggregate();
+  const obs::AccuracyAggregate full_agg = keep_all.auditor()->Aggregate();
+  EXPECT_GT(full_agg.queries_scored, 0u);
+  EXPECT_EQ(small_agg.queries_scored, full_agg.queries_scored);
+  EXPECT_EQ(small_agg.queries_aborted, full_agg.queries_aborted);
+  EXPECT_EQ(small_agg.mean_mape_multi, full_agg.mean_mape_multi);
+  EXPECT_EQ(small_agg.mean_mape_single, full_agg.mean_mape_single);
+  a->Close();
+  b->Close();
 }
 
 // ---- ticker mode ------------------------------------------------------------
@@ -753,6 +951,9 @@ TEST(ServiceStressTest, ConcurrentSubmittersAndReaders) {
   options.time_scale = 0.0;
   options.future_prior = {.lambda = 0.5, .avg_cost = 100.0};
   options.future_prior_strength = 2.0;
+  // Retention is not the subject here: the final snapshot must still
+  // hold every query the writers submitted.
+  options.terminal_retention_quanta = kWholeRunQuanta;
   PiService service(&catalog, options);
 
   std::atomic<bool> done{false};
