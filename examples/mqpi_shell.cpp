@@ -81,11 +81,11 @@ struct Shell {
     };
     for (const auto& q : snap->queries) {
       if (q.terminal()) continue;
-      std::printf("  #%llu %-8s %5.1f%%  single %8s  multi %8s  %s\n",
+      std::printf("  #%llu %-8s %5.1f%%  single %8s  multi %8s  %.48s\n",
                   static_cast<unsigned long long>(q.id),
                   std::string(sched::QueryStateName(q.state)).c_str(),
                   100.0 * q.fraction_done, eta(q.eta_single).c_str(),
-                  eta(q.eta_multi).c_str(), q.label.substr(0, 48).c_str());
+                  eta(q.eta_multi).c_str(), q.label.str().c_str());
     }
   }
 };

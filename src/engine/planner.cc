@@ -72,8 +72,7 @@ QuerySpec QuerySpec::Synthetic(WorkUnits cost) {
   return spec;
 }
 
-std::string QuerySpec::ToString() const {
-  std::ostringstream os;
+void QuerySpec::Render(std::ostream& os) const {
   switch (kind) {
     case Kind::kTpcrPartPrice:
       os << "select * from " << table << " p where p.retailprice*0.75 > "
@@ -112,7 +111,18 @@ std::string QuerySpec::ToString() const {
       os << "synthetic(" << synthetic_cost << " U)";
       break;
   }
+}
+
+std::string QuerySpec::ToString() const {
+  std::ostringstream os;
+  Render(os);
   return os.str();
+}
+
+QueryLabel QuerySpec::Label() const {
+  std::ostringstream os;
+  Render(os);
+  return QueryLabel(os.view());  // the one copy: stream buffer -> label
 }
 
 // ---- Planner ---------------------------------------------------------------

@@ -8,9 +8,11 @@
 // to the imprecise statistics collected by PostgreSQL").
 #pragma once
 
+#include <iosfwd>
 #include <memory>
 #include <string>
 
+#include "common/query_label.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/units.h"
@@ -58,6 +60,9 @@ struct QuerySpec {
 
   /// SQL-ish rendering for logs and examples.
   std::string ToString() const;
+  /// ToString()'s text as a shared label, copied once from the render
+  /// buffer (the scheduler stores it at Submit).
+  QueryLabel Label() const;
 
   /// The paper's Q_i: select * from <part_table> p where
   /// p.retailprice*0.75 > (select sum(l.extendedprice)/sum(l.quantity)
@@ -90,6 +95,9 @@ struct QuerySpec {
 
   /// A cost-only query of exactly `cost` work units.
   static QuerySpec Synthetic(WorkUnits cost);
+
+ private:
+  void Render(std::ostream& os) const;
 };
 
 struct PreparedQuery {

@@ -40,7 +40,14 @@ Status SnapshotView::Apply(const SnapshotFrame& frame, bool is_full) {
   }
   for (QueryId id : frame.removed) rows_.erase(id);
   for (const auto& row : frame.rows) {
-    rows_[row.id] = row;
+    auto [it, inserted] = rows_.try_emplace(row.id, row);
+    if (inserted) continue;
+    // A label is fixed at submit, so the row keeps the block it already
+    // holds and the frame's copy dies with the frame: delta rows cost
+    // the view no label memory.
+    QueryLabel held = std::move(it->second.label);
+    it->second = row;
+    if (held == row.label) it->second.label = std::move(held);
   }
   sequence_ = frame.sequence;
   sim_time_ = frame.sim_time;

@@ -153,15 +153,29 @@ bool WireReader::F64(double* v) {
   std::memcpy(v, &u, sizeof u);
   return true;
 }
-bool WireReader::Str(std::string* s) {
+bool WireReader::StrView(std::string_view* s) {
   std::uint32_t len = 0;
   if (!U32(&len)) return false;
   if (len > kMaxStringBytes || size_ - pos_ < len) {
     ok_ = false;
     return false;
   }
-  s->assign(data_ + pos_, len);
+  *s = std::string_view(data_ + pos_, len);
   pos_ += len;
+  return true;
+}
+
+bool WireReader::Str(std::string* s) {
+  std::string_view view;
+  if (!StrView(&view)) return false;
+  s->assign(view);
+  return true;
+}
+
+bool WireReader::Str(QueryLabel* s) {
+  std::string_view view;
+  if (!StrView(&view)) return false;
+  *s = QueryLabel(view);
   return true;
 }
 

@@ -35,10 +35,12 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
 #include "common/priority.h"
+#include "common/query_label.h"
 #include "common/status.h"
 #include "common/units.h"
 #include "service/snapshot.h"
@@ -296,6 +298,9 @@ class WireReader {
   bool I32(std::int32_t* v);
   bool F64(double* v);
   bool Str(std::string* s);
+  /// A label decodes straight into its own block (one allocation, no
+  /// intermediate std::string).
+  bool Str(QueryLabel* s);
 
   bool ok() const { return ok_; }
   std::size_t remaining() const { return size_ - pos_; }
@@ -304,6 +309,8 @@ class WireReader {
 
  private:
   bool Take(void* out, std::size_t n);
+  /// The next length-prefixed string, viewed in the payload.
+  bool StrView(std::string_view* s);
 
   const char* data_;
   std::size_t size_;

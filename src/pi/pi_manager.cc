@@ -62,7 +62,7 @@ std::vector<PiManager::ProgressRow> PiManager::Report() const {
     }
     ProgressRow row;
     row.id = info.id;
-    row.label = info.label;
+    row.label = db_->label(info.id);
     row.state = info.state;
     const double total =
         info.completed_work + info.estimated_remaining_cost;

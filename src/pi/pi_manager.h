@@ -104,7 +104,7 @@ class PiManager {
   /// which needs an observation history).
   struct ProgressRow {
     QueryId id = kInvalidQueryId;
-    std::string label;
+    QueryLabel label;
     sched::QueryState state = sched::QueryState::kQueued;
     /// completed / (completed + estimated remaining), in [0, 1].
     double fraction_done = 0.0;

@@ -248,7 +248,8 @@ Result<QueryId> PiService::SubmitLocked(SessionState* session,
     return submitted.status();
   }
   MQPI_DCHECK(*submitted == queries_.size() + 1);
-  queries_.push_back({session->id, pi::SingleQueryPi(*submitted)});
+  queries_.push_back({session->id, db_->label(*submitted),
+                      pi::SingleQueryPi(*submitted)});
   visible_.push_back(*submitted);  // ids ascend, so visible_ stays sorted
   session->live.insert(*submitted);
   ++session->submitted;
@@ -722,7 +723,7 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() {
     QueryProgress query;
     query.id = info.id;
     query.session_id = served.session_id;
-    query.label = info.label;
+    query.label = served.label;
     query.state = info.state;
     query.priority = info.priority;
     query.weight = info.weight;
@@ -788,6 +789,12 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() {
   Cached(&retained_queries_gauge_, [&] {
     return metrics_.gauge("state.retained_queries");
   })->Set(static_cast<double>(snapshot->queries.size()));
+  // Measured rate over the configured C: 1 while the paper's
+  // Assumption 1 holds; perturbations and rate faults pull it away.
+  const double configured = options_.rdbms.processing_rate;
+  Cached(&rate_ratio_gauge_, [&] {
+    return metrics_.gauge("pi.rate_ratio");
+  })->Set(configured > 0.0 ? snapshot->measured_rate / configured : 0.0);
   return snapshot;
 }
 

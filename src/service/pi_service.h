@@ -456,6 +456,8 @@ class PiService {
   /// NotFound) and flagged.
   struct ServedQuery {
     std::uint64_t session_id = 0;
+    /// The scheduler record's label block, shared by every row.
+    QueryLabel label;
     pi::SingleQueryPi single{kInvalidQueryId};
     SimTime last_good_single = kUnknown;
     SimTime last_good_multi = kUnknown;
@@ -537,6 +539,7 @@ class PiService {
   std::atomic<Gauge*> blocked_gauge_{nullptr};
   std::atomic<Gauge*> sim_time_gauge_{nullptr};
   std::atomic<Gauge*> retained_queries_gauge_{nullptr};
+  std::atomic<Gauge*> rate_ratio_gauge_{nullptr};
   /// Accuracy instruments, [estimator: single, multi][priority].
   struct AccuracyInstruments {
     std::atomic<Histogram*> mape{nullptr};

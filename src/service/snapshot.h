@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/priority.h"
+#include "common/query_label.h"
 #include "common/units.h"
 #include "sched/rdbms.h"
 
@@ -31,7 +32,11 @@ struct QueryProgress {
   QueryId id = kInvalidQueryId;
   /// Owning session (0 for queries submitted outside the service API).
   std::uint64_t session_id = 0;
-  std::string label;
+  /// The query's SQL-ish text: shared, immutable, rendered once at
+  /// submit. Every snapshot row of a query holds a handle to the same
+  /// block the scheduler's record holds, so publishing a row copies a
+  /// pointer and dropping a snapshot frees no strings.
+  QueryLabel label;
   sched::QueryState state = sched::QueryState::kQueued;
   Priority priority = Priority::kNormal;
   double weight = 1.0;

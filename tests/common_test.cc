@@ -2,8 +2,11 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "common/priority.h"
+#include "common/query_label.h"
 #include "common/random.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -298,6 +301,40 @@ TEST(PriorityTest, CustomWeights) {
 TEST(PriorityTest, Names) {
   EXPECT_EQ(PriorityName(Priority::kLow), "low");
   EXPECT_EQ(PriorityName(Priority::kCritical), "critical");
+}
+
+// ---- QueryLabel --------------------------------------------------------------
+
+TEST(QueryLabelTest, CopiesShareOneBlockAndCompareByText) {
+  const std::string text = "select agg(*) from lineitem where quantity > 7";
+  QueryLabel label(text);
+  EXPECT_EQ(label, text);
+  EXPECT_EQ(label.size(), text.size());
+  EXPECT_NE(label.data(), text.data());  // its own copy
+
+  QueryLabel copy = label;
+  EXPECT_EQ(copy.data(), label.data());  // shared, not copied
+  QueryLabel other(text);
+  EXPECT_EQ(other, label);  // equal text, separate block
+  EXPECT_NE(other.data(), label.data());
+
+  // The block outlives the handle it was made through.
+  const char* block = label.data();
+  label = QueryLabel("replaced");
+  EXPECT_EQ(label, "replaced");
+  EXPECT_EQ(copy, text);
+  EXPECT_EQ(copy.data(), block);
+
+  QueryLabel moved = std::move(copy);
+  EXPECT_EQ(moved.data(), block);
+  EXPECT_TRUE(copy.empty());  // a moved-from handle is empty
+  moved = moved;              // self-assignment keeps the block
+  EXPECT_EQ(moved, text);
+
+  const QueryLabel empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty, "");
+  EXPECT_TRUE(QueryLabel("").empty());
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <memory>
 #include <new>
 #include <string>
@@ -83,7 +84,7 @@ QueryProgress RandomRow(Rng* rng) {
   QueryProgress row;
   row.id = static_cast<QueryId>(rng->UniformInt(0, 1 << 20));
   row.session_id = static_cast<std::uint64_t>(rng->UniformInt(0, 1 << 10));
-  row.label = RandomLabel(rng);
+  row.label = QueryLabel(RandomLabel(rng));
   row.state = static_cast<sched::QueryState>(rng->UniformInt(0, 4));
   row.priority = static_cast<Priority>(rng->UniformInt(0, 3));
   row.weight = RandomDouble(rng);
@@ -663,6 +664,65 @@ TEST(SnapshotViewTest, SubscriberStreamsThroughReapsOnDeltasAlone) {
   EXPECT_EQ(consumer.view().rows(), 0u);
   EXPECT_EQ(metrics.full_frames->value(), 1u);
   EXPECT_EQ(metrics.delta_frames->value(), 199u);
+  EXPECT_EQ(consumer.view().fulls_applied(), 1u);
+  session->Close();
+}
+
+// Labels through the push stream: a subscriber's view shows each
+// query's QuerySpec::ToString() after the full frame, through deltas
+// that re-send the row, and until the reap removes it. A row the view
+// already holds keeps its label storage rather than adopting each
+// delta's freshly decoded copy.
+TEST(SnapshotViewTest, LabelsSurviveFullDeltaAndReapFrames) {
+  storage::Catalog catalog;
+  PiServiceOptions options;
+  options.rdbms.processing_rate = 100.0;
+  options.rdbms.quantum = 0.1;
+  options.start_ticker = false;
+  options.terminal_retention_quanta = 2;
+  PiService service(&catalog, options);
+  auto session = service.OpenSession("labels");
+  service::MetricsRegistry registry;
+  NetMetrics metrics(&registry);
+  auto subscription =
+      std::make_shared<Subscription>(Subscription::Options{});
+  LocalSubscriber consumer(subscription);
+
+  std::vector<std::string> expected;  // by id - 1
+  std::map<QueryId, const char*> held;
+  int deltas_checked = 0;
+  for (int quantum = 0; quantum < 60; ++quantum) {
+    if (quantum < 40 && quantum % 4 == 0) {
+      const QuerySpec spec = QuerySpec::Synthetic(3.0 + 2.5 * quantum);
+      auto id = session->Submit(spec);
+      ASSERT_TRUE(id.ok());
+      ASSERT_EQ(*id, expected.size() + 1);
+      expected.push_back(spec.ToString());
+    }
+    ASSERT_TRUE(service.Advance(options.rdbms.quantum).ok());
+    const SnapshotPtr snapshot = service.snapshot();
+    ASSERT_TRUE(subscription->Deliver(snapshot, &metrics));
+    ASSERT_EQ(consumer.Pump(), 1);
+    const SnapshotView& view = consumer.view();
+    ASSERT_EQ(view.rows(), snapshot->queries.size());
+    for (const QueryProgress& row : snapshot->queries) {
+      SCOPED_TRACE("query " + std::to_string(row.id));
+      EXPECT_EQ(row.label, expected[row.id - 1]);
+      const QueryProgress* mirrored = view.Find(row.id);
+      ASSERT_NE(mirrored, nullptr);
+      EXPECT_EQ(mirrored->label, expected[row.id - 1]);
+      const auto [it, first_seen] =
+          held.try_emplace(row.id, mirrored->label.data());
+      if (!first_seen) {
+        EXPECT_EQ(mirrored->label.data(), it->second);
+        ++deltas_checked;
+      }
+    }
+  }
+  // Every query came, was re-sent by deltas, finished and was reaped.
+  EXPECT_EQ(held.size(), expected.size());
+  EXPECT_GT(deltas_checked, 20);
+  EXPECT_EQ(consumer.view().rows(), 0u);
   EXPECT_EQ(consumer.view().fulls_applied(), 1u);
   session->Close();
 }

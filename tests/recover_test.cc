@@ -417,6 +417,52 @@ TEST(Recovery, CrashInsideRetentionWindowIsByteIdentical) {
             pre);
 }
 
+// A recovered service re-renders every label from the journaled spec:
+// its rows, read through the snapshot and through a recovered
+// session, show the same QuerySpec::ToString() the original did.
+TEST(Recovery, RecoveredRowsCarryTheSubmittedLabels) {
+  TempDir dir;
+  PiServiceOptions options = ManualOptions();
+  options.terminal_retention_quanta = 1000;
+  std::vector<std::string> expected;  // by id - 1
+  std::uint64_t session_id = 0;
+  {
+    DurableLog log;
+    ASSERT_TRUE(log.Open(dir.path(), DurableLog::Options{}).ok());
+    PiServiceOptions live = options;
+    live.event_sink = &log;
+    PiService service(TestCatalog(), live);
+    auto session = service.OpenSession("labels");
+    session_id = session->id();
+    for (int i = 0; i < 6; ++i) {
+      const QuerySpec spec = QuerySpec::Synthetic(2.0 + 31.75 * i);
+      ASSERT_TRUE(session->Submit(spec).ok());
+      expected.push_back(spec.ToString());
+      ASSERT_TRUE(service.Advance(0.1).ok());
+    }
+    ASSERT_TRUE(log.Sync().ok());
+    service.SetEventSink(nullptr);
+    session->Close();
+  }
+  auto recovered = Recover(TestCatalog(), dir.path(), options);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  const service::SnapshotPtr snapshot =
+      recovered->service->BuildUnpublishedSnapshot();
+  ASSERT_EQ(snapshot->queries.size(), expected.size());
+  EXPECT_TRUE(snapshot->queries.front().terminal());
+  for (const auto& row : snapshot->queries) {
+    EXPECT_EQ(row.label, expected[row.id - 1]) << "query " << row.id;
+  }
+  recovered->service->PublishNow();
+  auto session = recovered->sessions.find(session_id);
+  ASSERT_NE(session, recovered->sessions.end());
+  const auto listed = session->second->ListQueries();
+  ASSERT_EQ(listed.size(), expected.size());
+  for (const auto& row : listed) {
+    EXPECT_EQ(row.label, expected[row.id - 1]) << "query " << row.id;
+  }
+}
+
 // Kill-mid-soak: with checkpoints cut under churn, truncate the active
 // journal at EVERY byte offset of its final record. Each truncation
 // must recover cleanly — either the full history (cut at the record

@@ -270,6 +270,52 @@ TEST(ServiceManualTest, SessionLifecycleAndSnapshotProgress) {
   EXPECT_TRUE(session->Close().ok());
 }
 
+// A label is rendered once at submit and shared: every snapshot row,
+// Session::Progress and ListQueries show QuerySpec::ToString() — for
+// running, queued and terminal rows alike — and a query's rows in
+// consecutive snapshots point at the same label storage.
+TEST(ServiceManualTest, LabelsAreVisibleAndSharedAcrossSnapshots) {
+  storage::Catalog catalog;
+  auto options = ManualOptions();
+  options.rdbms.max_concurrent = 3;  // the last two queue
+  options.terminal_retention_quanta = kWholeRunQuanta;
+  PiService service(&catalog, options);
+  auto session = service.OpenSession("labels");
+  std::vector<QuerySpec> specs = {QuerySpec::Synthetic(4.0)};
+  for (int i = 1; i < 5; ++i) {
+    specs.push_back(QuerySpec::Synthetic(400.0 + 17.25 * i));
+  }
+  for (const QuerySpec& spec : specs) {
+    ASSERT_TRUE(session->Submit(spec).ok());
+  }
+  ASSERT_TRUE(service.Advance(options.rdbms.quantum).ok());
+  const SnapshotPtr first = service.snapshot();
+  ASSERT_TRUE(service.Advance(options.rdbms.quantum).ok());
+  const SnapshotPtr second = service.snapshot();
+
+  ASSERT_EQ(second->queries.size(), specs.size());
+  EXPECT_TRUE(second->Find(1)->terminal());
+  EXPECT_EQ(second->num_queued, 1);
+  for (const QueryProgress& row : second->queries) {
+    SCOPED_TRACE("query " + std::to_string(row.id));
+    const std::string expected = specs[row.id - 1].ToString();
+    EXPECT_EQ(row.label, expected);
+    const QueryProgress* earlier = first->Find(row.id);
+    ASSERT_NE(earlier, nullptr);
+    EXPECT_EQ(earlier->label.data(), row.label.data());
+    auto progress = session->Progress(row.id);
+    ASSERT_TRUE(progress.ok());
+    EXPECT_EQ(progress->label, expected);
+    EXPECT_EQ(progress->label.data(), row.label.data());
+  }
+  const std::vector<QueryProgress> listed = session->ListQueries();
+  ASSERT_EQ(listed.size(), specs.size());
+  for (const QueryProgress& row : listed) {
+    EXPECT_EQ(row.label, specs[row.id - 1].ToString());
+  }
+  EXPECT_TRUE(session->Close().ok());
+}
+
 TEST(ServiceManualTest, ForecastCacheCountersPublished) {
   // The service republishes the PI's forecast-cache and estimator-path
   // statistics as metrics. Steady state: snapshots answer running-query
@@ -644,7 +690,7 @@ TEST(ServiceManualTest, OnePassSnapshotMatchesColdAccessorReference) {
 
       EXPECT_EQ(row.id, info.id);
       EXPECT_EQ(row.session_id, owner[info.id - 1]->id());
-      EXPECT_EQ(row.label, info.label);
+      EXPECT_EQ(row.label, twin.label(info.id));
       EXPECT_EQ(row.label, specs[info.id - 1].ToString());
       EXPECT_EQ(row.state, info.state);
       EXPECT_EQ(row.priority, info.priority);

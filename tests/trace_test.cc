@@ -169,7 +169,10 @@ TEST_F(EventTraceTest, ProgressReportRows) {
       // Queue-aware multi still has an ETA for it.
       EXPECT_GT(row.eta_multi, 0.0);
     }
-    EXPECT_FALSE(row.label.empty());
+    // The row shares the record's label block, rendered at Submit.
+    EXPECT_EQ(row.label,
+              QuerySpec::Synthetic(row.id == *b ? 400.0 : 100.0).ToString());
+    EXPECT_EQ(row.label.data(), db.label(row.id).data());
   }
   // a: ~50 of 100 done at t=1.
   for (const auto& row : rows) {

@@ -73,11 +73,13 @@ for name in $required_counters; do
 done
 
 # Gauges the liveness contract shares between /healthz and the
-# watchdog.
+# watchdog, and the rate-assumption gauge accuracy dashboards read
+# (pi.rate_ratio: measured rate over configured C).
 required_gauges="
 service.uptime_quanta
 service.ticker_last_step_age_quanta
 coord.shards
+pi.rate_ratio
 "
 for name in $required_gauges; do
   if ! grep -q "^gauge $name\$" "$names_file"; then
