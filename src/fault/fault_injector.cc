@@ -44,8 +44,9 @@ void FaultInjector::Arm(const char* point, FaultSpec spec) {
   const bool was_armed = p->armed;
   p->spec = std::move(spec);
   p->armed = true;
-  // Re-arming restarts the point's deterministic life: counters, the
-  // schedule cursor, and the RNG stream all reset to the seeded state.
+  // Re-arming restarts the point's deterministic life: the per-arm
+  // counters, the schedule cursor and the RNG stream reset to the seeded
+  // state; lifetime_fires keeps counting.
   p->evaluations = 0;
   p->fires = 0;
   p->next_scheduled = 0;
@@ -108,6 +109,7 @@ FaultInjector::Fire FaultInjector::Evaluate(std::string_view point) {
     fired = fired || chance;
     if (!fired) return fire;
     ++p.fires;
+    ++p.lifetime_fires;
     fire.fired = true;
     fire.value = p.spec.value;
     trace_name = p.name;
@@ -142,6 +144,7 @@ std::vector<FaultInjector::PointStats> FaultInjector::Stats() const {
     stats.point = p.name;
     stats.evaluations = p.evaluations;
     stats.fires = p.fires;
+    stats.lifetime_fires = p.lifetime_fires;
     out.push_back(stats);
   }
   return out;

@@ -132,8 +132,8 @@ class FaultInjector {
 
   // ---- arming ---------------------------------------------------------------
 
-  /// Arms (or re-arms, resetting counters) a fault point. `point` must
-  /// be a string literal (see header comment).
+  /// Arms (or re-arms, resetting the per-arm counters) a fault point.
+  /// `point` must be a string literal (see header comment).
   void Arm(const char* point, FaultSpec spec);
   void ArmProbability(const char* point, double probability,
                       double value = 0.0);
@@ -173,8 +173,9 @@ class FaultInjector {
 
   struct PointStats {
     const char* point = nullptr;
-    std::uint64_t evaluations = 0;
-    std::uint64_t fires = 0;
+    std::uint64_t evaluations = 0;     // since the last Arm
+    std::uint64_t fires = 0;           // since the last Arm
+    std::uint64_t lifetime_fires = 0;  // across re-arms: what pollers diff
   };
 
   /// Stats for every point ever armed (alive through Disarm, so chaos
@@ -196,6 +197,7 @@ class FaultInjector {
     Rng rng{0};
     std::uint64_t evaluations = 0;
     std::uint64_t fires = 0;
+    std::uint64_t lifetime_fires = 0;  // never reset by Arm
     std::size_t next_scheduled = 0;  // cursor into spec.schedule
   };
 

@@ -348,7 +348,7 @@ std::shared_ptr<Subscription> SubscriberPool::Subscribe() {
     std::lock_guard<std::mutex> lock(shard->mu);
     shard->subs.push_back(subscription);
   }
-  metrics_->AddSubscriptions(1);
+  metrics_->subscriptions->Add(1);
   return subscription;
 }
 
@@ -364,7 +364,7 @@ void SubscriberPool::Unsubscribe(
     const auto it = std::find(subs.begin(), subs.end(), subscription);
     if (it != subs.end()) {
       subs.erase(it);
-      metrics_->AddSubscriptions(-1);
+      metrics_->subscriptions->Add(-1);
       return;
     }
   }
@@ -460,7 +460,7 @@ void SubscriberPool::SweepShard(Shard* shard,
                              return false;
                            });
   subs.erase(it, subs.end());
-  if (removed > 0) metrics_->AddSubscriptions(-removed);
+  if (removed > 0) metrics_->subscriptions->Add(-removed);
 }
 
 }  // namespace mqpi::net

@@ -90,6 +90,8 @@ struct NetMetrics {
   service::Counter* accept_failures = nullptr;
   service::Counter* conns_dropped = nullptr;
   service::Counter* publish_wakeups = nullptr;
+  /// Live counts, moved by concurrent Add(+-1) from the loop and the
+  /// subscriber pools; /statusz and STATS read them too.
   service::Gauge* connections = nullptr;
   service::Gauge* subscriptions = nullptr;
   /// Publish -> socket/queue write latency per subscriber delivery,
@@ -101,23 +103,7 @@ struct NetMetrics {
   void ObservePublishToWrite(const SnapshotFanout& fanout,
                              std::uint64_t sequence);
 
-  /// Live tallies behind the two gauges (gauges are last-write-wins;
-  /// these atomics make concurrent add/remove safe).
-  std::atomic<std::int64_t> connection_count{0};
-  std::atomic<std::int64_t> subscription_count{0};
-
   explicit NetMetrics(service::MetricsRegistry* registry);
-
-  void AddConnections(std::int64_t delta) {
-    connections->Set(static_cast<double>(
-        connection_count.fetch_add(delta, std::memory_order_relaxed) +
-        delta));
-  }
-  void AddSubscriptions(std::int64_t delta) {
-    subscriptions->Set(static_cast<double>(
-        subscription_count.fetch_add(delta, std::memory_order_relaxed) +
-        delta));
-  }
 };
 
 // ---- fan-out hub ------------------------------------------------------------

@@ -19,6 +19,7 @@ namespace mqpi::net {
 namespace {
 
 constexpr std::size_t kReadChunk = 2048;
+constexpr int kListenBacklog = 16;
 
 std::string StatusLine(int code) {
   switch (code) {
@@ -82,7 +83,7 @@ Status HttpExporter::Start(int epoll_fd) {
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
           0 ||
-      ::listen(listen_fd_, options_.listen_backlog) < 0) {
+      ::listen(listen_fd_, kListenBacklog) < 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return Status::Internal(std::string("http bind/listen failed: ") +
@@ -148,7 +149,7 @@ void HttpExporter::AcceptPending() {
       if (errno == EINTR) continue;
       return;  // EAGAIN or a transient accept error: nothing to do
     }
-    if (scrapes_.size() >= options_.max_connections) {
+    if (scrapes_.size() >= kMaxConnections) {
       ::close(fd);
       continue;
     }
@@ -169,7 +170,7 @@ void HttpExporter::AcceptPending() {
     if (rc != 0) {
       // An fd that never made it onto the epoll can never become
       // readable: it would sit in scrapes_ forever, permanently
-      // counting toward max_connections until the cap starves
+      // counting toward kMaxConnections until the cap starves
       // /metrics//healthz. Refuse the connection instead of tracking
       // an unpollable socket. Count before close so a peer observing
       // the resulting EOF sees the error already tallied.
@@ -187,7 +188,7 @@ void HttpExporter::HandleReadable(int fd, Scrape* scrape) {
     const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
     if (n > 0) {
       scrape->in.append(buf, static_cast<std::size_t>(n));
-      if (scrape->in.size() > options_.max_request_bytes) {
+      if (scrape->in.size() > kMaxRequestBytes) {
         scrape->out = MakeResponse(400, "text/plain", "request too large\n");
         ++requests_error_;
         scrape->responding = true;
@@ -325,14 +326,11 @@ std::string HttpExporter::StatusBody() const {
   std::string body = "== health ==\n";
   body += HealthBody(&healthy);
   if (net_metrics_ != nullptr) {
-    body += "connections " +
-            std::to_string(net_metrics_->connection_count.load(
-                std::memory_order_relaxed)) +
-            "\n";
-    body += "subscriptions " +
-            std::to_string(net_metrics_->subscription_count.load(
-                std::memory_order_relaxed)) +
-            "\n";
+    const auto count = [](const service::Gauge* gauge) {
+      return std::to_string(static_cast<std::int64_t>(gauge->value()));
+    };
+    body += "connections " + count(net_metrics_->connections) + "\n";
+    body += "subscriptions " + count(net_metrics_->subscriptions) + "\n";
     body += "http_requests_ok " + std::to_string(requests_ok()) + "\n";
     body += "http_requests_error " + std::to_string(requests_error()) + "\n";
   }

@@ -47,12 +47,11 @@ class HttpExporter {
     std::string host = "127.0.0.1";
     /// 0 = ephemeral; read the bound port back with port().
     std::uint16_t port = 0;
-    int listen_backlog = 16;
-    /// Requests larger than this are answered 400 and closed.
-    std::size_t max_request_bytes = 8192;
-    /// Accepts beyond this many concurrent scrapes are refused.
-    std::size_t max_connections = 64;
   };
+  /// Requests larger than this are answered 400 and closed.
+  static constexpr std::size_t kMaxRequestBytes = 8192;
+  /// Accepts beyond this many concurrent scrapes are refused.
+  static constexpr std::size_t kMaxConnections = 64;
 
   /// `service` (and `net_metrics`, when given) must outlive the
   /// exporter; `net_metrics` enriches /healthz and /statusz with the

@@ -74,8 +74,8 @@ void ResilientClient::PublishMirror(const SnapshotView& view) {
 
 bool ResilientClient::SleepBackoff(double* backoff_s) {
   // Jittered delay, then grow toward the cap for the next round.
-  const double jitter =
-      rng_.Uniform(-options_.backoff_jitter, options_.backoff_jitter);
+  constexpr double kJitter = 0.5;  // +-50% of the delay
+  const double jitter = rng_.Uniform(-kJitter, kJitter);
   const double delay = std::max(0.0, *backoff_s * (1.0 + jitter));
   *backoff_s = std::min(*backoff_s * 2.0, options_.backoff_max_s);
   std::unique_lock<std::mutex> lock(mu_);

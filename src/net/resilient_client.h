@@ -35,13 +35,13 @@
 #include "common/random.h"
 #include "common/status.h"
 #include "net/client.h"
+#include "obs/instruments.h"
 
 namespace mqpi::fault {
 class FaultInjector;
 }  // namespace mqpi::fault
 namespace mqpi::service {
 class MetricsRegistry;
-class Counter;
 }  // namespace mqpi::service
 
 namespace mqpi::net {
@@ -52,10 +52,9 @@ class ResilientClient {
     /// Bounds each TCP connect attempt (see Client::Connect).
     double connect_timeout_s = 2.0;
     /// Reconnect backoff: initial delay, doubling to the cap, with a
-    /// uniform jitter of +-`backoff_jitter` x delay on top.
+    /// uniform jitter of +-50% of the delay on top.
     double backoff_initial_s = 0.05;
     double backoff_max_s = 2.0;
-    double backoff_jitter = 0.5;
     /// A stream quiet for this long gets a liveness ping; the ping's
     /// own call timeout is the pong deadline.
     double ping_interval_s = 1.0;
@@ -137,9 +136,9 @@ class ResilientClient {
   std::condition_variable cv_;
   SnapshotView mirror_;  // guarded by mu_
 
-  service::Counter* reconnects_counter_ = nullptr;
-  service::Counter* resubscribes_counter_ = nullptr;
-  service::Counter* connect_fails_counter_ = nullptr;
+  obs::Counter* reconnects_counter_ = nullptr;
+  obs::Counter* resubscribes_counter_ = nullptr;
+  obs::Counter* connect_fails_counter_ = nullptr;
 
   std::thread worker_;
 };

@@ -22,6 +22,8 @@ namespace mqpi::net {
 namespace {
 
 constexpr int kEpollBatch = 64;
+constexpr int kListenBacklog = 128;
+constexpr std::size_t kMaxConnections = 4096;  // beyond: refused at accept
 
 }  // namespace
 
@@ -97,7 +99,7 @@ Status PiServer::Start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
           0 ||
-      ::listen(listen_fd_, options_.listen_backlog) < 0) {
+      ::listen(listen_fd_, kListenBacklog) < 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return Status::Internal(std::string("bind/listen failed: ") +
@@ -202,8 +204,8 @@ void PiServer::Stop() {
   // Loop thread is gone; its state is ours to reap.
   for (auto& [id, conn] : conns_) {
     if (conn->session) conn->session->Close();
-    metrics_->AddConnections(-1);
-    if (conn->subscribed) metrics_->AddSubscriptions(-1);
+    metrics_->connections->Add(-1);
+    if (conn->subscribed) metrics_->subscriptions->Add(-1);
   }
   conns_.clear();
   conn_by_fd_.clear();
@@ -298,8 +300,7 @@ void PiServer::AcceptPending() {
       ::close(fd);
       continue;
     }
-    if (options_.max_connections > 0 &&
-        conns_.size() >= options_.max_connections) {
+    if (conns_.size() >= kMaxConnections) {
       metrics_->accept_failures->Increment();
       ::close(fd);
       continue;
@@ -327,7 +328,7 @@ void PiServer::AcceptPending() {
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
     conn_by_fd_[fd] = id;
     conns_[id] = std::move(conn);
-    metrics_->AddConnections(1);
+    metrics_->connections->Add(1);
   }
 }
 
@@ -348,7 +349,7 @@ bool PiServer::ServiceConnection(Connection* conn) {
     if (frame.header.type == FrameType::kUnsubscribe) {
       if (conn->subscribed) {
         conn->subscribed = false;
-        metrics_->AddSubscriptions(-1);
+        metrics_->subscriptions->Add(-1);
       }
       QueueOnConn(conn, EncodeFrame(frame.header.request_id,
                                     FrameBody{UnsubscribeReply{}}));
@@ -539,10 +540,10 @@ StatsReply PiServer::BuildStats() {
     stats.snapshots_published = latest->sequence;
     stats.degraded = latest->degraded;
   }
-  stats.connections = static_cast<std::uint64_t>(std::max<std::int64_t>(
-      0, metrics_->connection_count.load(std::memory_order_relaxed)));
-  stats.subscriptions = static_cast<std::uint64_t>(std::max<std::int64_t>(
-      0, metrics_->subscription_count.load(std::memory_order_relaxed)));
+  stats.connections = static_cast<std::uint64_t>(
+      std::max(0.0, metrics_->connections->value()));
+  stats.subscriptions = static_cast<std::uint64_t>(
+      std::max(0.0, metrics_->subscriptions->value()));
   stats.frames_sent = metrics_->frames_sent->value();
   stats.bytes_sent = metrics_->bytes_sent->value();
   stats.consumers_shed = metrics_->slow_consumers_shed->value();
@@ -589,7 +590,7 @@ void PiServer::HandleSubscribe(Connection* conn, const Frame& frame) {
     conn->subscribed = true;
     conn->delta.Reset();
     conn->pushed_sequence = 0;
-    metrics_->AddSubscriptions(1);
+    metrics_->subscriptions->Add(1);
   } else if (conn->subscribe_shard != scope) {
     // Re-scoping resets the stream: the delta chain restarts from a
     // full frame of the new scope.
@@ -719,9 +720,9 @@ void PiServer::CloseConnection(std::uint64_t conn_id, bool count_dropped) {
   }
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd(), nullptr);
   conn_by_fd_.erase(conn->fd());
-  if (conn->subscribed) metrics_->AddSubscriptions(-1);
+  if (conn->subscribed) metrics_->subscriptions->Add(-1);
   if (conn->session) conn->session->Close();
-  metrics_->AddConnections(-1);
+  metrics_->connections->Add(-1);
   if (count_dropped) metrics_->conns_dropped->Increment();
   conns_.erase(it);
 }

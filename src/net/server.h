@@ -51,14 +51,11 @@ struct PiServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; read the bound port back with port().
   std::uint16_t port = 0;
-  int listen_backlog = 128;
   /// Largest request payload a client may send.
   std::size_t max_frame_bytes = std::size_t{1} << 20;
   /// Per-connection bounded write queue (the shedding bound).
   std::size_t write_queue_max_frames = 256;
   std::size_t write_queue_max_bytes = std::size_t{4} << 20;
-  /// Accepts beyond this are refused (closed immediately). 0 = no cap.
-  std::size_t max_connections = 4096;
   /// Worker threads for in-process (LocalClient) subscribers.
   int pool_threads = 2;
   /// Queue bounds for in-process subscriptions.

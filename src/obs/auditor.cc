@@ -34,7 +34,7 @@ EstimatorScore EstimateAuditor::ScoreTrajectory(
   EstimatorScore score;
   const double lifetime = std::max(finish - arrival, kTimeEpsilon);
   const double min_truth =
-      std::max(options_.min_truth_fraction * lifetime, kTimeEpsilon);
+      std::max(kMinTruthFraction * lifetime, kTimeEpsilon);
 
   double sum_abs = 0.0;
   double sum_signed = 0.0;

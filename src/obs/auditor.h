@@ -128,6 +128,11 @@ struct AccuracyAggregate {
   std::uint64_t never_converged_multi = 0;
 };
 
+/// Samples whose true remaining time is below this fraction of the
+/// query lifetime are excluded from MAPE/bias: relative error against
+/// a truth of ~0 is noise, not signal.
+inline constexpr double kMinTruthFraction = 0.02;
+
 struct AuditorOptions {
   /// Sample budget per live query. A trajectory keeps every
   /// `stride`-th observation; past the budget it halves itself (even
@@ -140,10 +145,6 @@ struct AuditorOptions {
   std::size_t retain_completed = 1024;
   /// Relative-error band for convergence detection.
   double convergence_band = 0.10;
-  /// Samples whose true remaining time is below this fraction of the
-  /// query lifetime are excluded from MAPE/bias: relative error against
-  /// a truth of ~0 is noise, not signal.
-  double min_truth_fraction = 0.02;
   /// Absolute slack subtracted from |estimate - truth| before a sample
   /// is scored. Ground truth is only known to the publisher's time
   /// resolution — the scheduler stamps finish times at quantum ends and

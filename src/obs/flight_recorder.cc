@@ -74,8 +74,9 @@ std::string FlightRecorder::Trigger(const char* reason) {
                                              std::memory_order_relaxed)) {
     return "";
   }
+  constexpr std::size_t kMaxDumps = 16;  // lifetime cap on file dumps
   const std::uint64_t n = dumps_.fetch_add(1, std::memory_order_relaxed);
-  if (n >= options_.max_dumps) {
+  if (n >= kMaxDumps) {
     dumps_.fetch_sub(1, std::memory_order_relaxed);
     return "";
   }

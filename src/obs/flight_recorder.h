@@ -10,9 +10,9 @@
 //   - the ticker watchdog replaces a stalled ticker thread,
 //   - a slow consumer is shed at the network edge,
 //   - a degraded snapshot is published (staleness past threshold).
-// Triggers are throttled (`min_dump_interval_s`, `max_dumps`) so a
-// flapping system cannot flood the disk, and every trigger is counted
-// and visible in /statusz even when file dumps are off.
+// Triggers are throttled (`min_dump_interval_s`, 16 dumps a lifetime)
+// so a flapping system cannot flood the disk, and every trigger is
+// counted and visible in /statusz even when file dumps are off.
 //
 // Export rides the Tracer's JSONL path: events are rendered with the
 // same JSON-escaped renderer (obs::RenderTraceEventJson), so a flight
@@ -68,10 +68,8 @@ struct FlightRecorderOptions {
   bool auto_dump = false;
   /// Directory for auto-dump files (`flight_<n>_<reason>.jsonl`).
   std::string dump_dir = ".";
-  /// Minimum wall seconds between file dumps.
+  /// Minimum wall seconds between file dumps (at most 16 a lifetime).
   double min_dump_interval_s = 5.0;
-  /// Lifetime cap on file dumps.
-  std::size_t max_dumps = 16;
 };
 
 class FlightRecorder {

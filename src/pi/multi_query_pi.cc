@@ -74,7 +74,7 @@ void MultiQueryPi::ObserveStep() {
       if (std::isfinite(sample) && sample > 0.0) {
         rate_.Observe(sample);
       } else {
-        ++corrupt_rate_samples_;
+        counters_.corrupt_rate_samples.Increment();
       }
       window_consumed_ = 0.0;
       window_elapsed_ = 0.0;
@@ -114,11 +114,10 @@ double MultiQueryPi::estimated_rate() const {
   // The floor keeps the estimation rate strictly positive and finite
   // even when the measured rate collapses to zero/denormal or the
   // configured rate itself is degenerate.
-  const double floor =
-      std::max(configured * options_.min_rate_fraction, 1e-12);
+  const double floor = std::max(configured * kMinRateFraction, 1e-12);
   const double rate = rate_.has_value() ? rate_.value() : configured;
   if (!std::isfinite(rate) || rate < floor) {
-    ++rate_floor_hits_;
+    counters_.rate_floor_hits.Increment();
     return floor;
   }
   return rate;
@@ -126,7 +125,7 @@ double MultiQueryPi::estimated_rate() const {
 
 SimTime MultiQueryPi::SanitizeEta(SimTime eta) const {
   if (std::isnan(eta) || (eta < 0.0 && eta != kUnknown)) {
-    ++degraded_estimates_;
+    counters_.degraded_estimates.Increment();
     return kUnknown;
   }
   return eta;
@@ -192,7 +191,7 @@ AnalyticModelOptions MultiQueryPi::ModelOptions() const {
 Result<std::shared_ptr<const ForecastResult>>
 MultiQueryPi::ComputeBaseForecast() const {
   const BaseLoad& base = SnapshotBaseLoad();
-  ++cache_misses_;
+  counters_.forecast_cache_misses.Increment();
   obs::TraceSpan span(tracer_, "pi", "forecast");
   span.arg("n", static_cast<double>(base.running.size() +
                                     base.queued.size()));
@@ -208,7 +207,7 @@ Result<std::shared_ptr<const ForecastResult>> MultiQueryPi::ForecastShared()
     const {
   RefreshMemo();
   if (forecast_done_) {
-    ++cache_hits_;
+    counters_.forecast_cache_hits.Increment();
     if (!forecast_status_.ok()) return forecast_status_;
     return forecast_;
   }
@@ -328,7 +327,7 @@ Result<SimTime> MultiQueryPi::EstimateRemainingTime(
     case sched::QueryState::kRunning:
       if (SweepReady()) {
         if (const SimTime* eta = kernel_.Find(info.id)) {
-          ++incremental_fast_path_;
+          counters_.incremental_fast_path.Increment();
           return SanitizeEta(*eta);
         }
         // Not in this epoch's base load (shouldn't happen) — the
@@ -336,7 +335,7 @@ Result<SimTime> MultiQueryPi::EstimateRemainingTime(
       }
       break;
   }
-  ++incremental_fallback_;
+  counters_.incremental_fallback.Increment();
   auto forecast = ForecastShared();
   if (!forecast.ok()) return forecast.status();
   auto eta = (*forecast)->FinishTimeOf(info.id);
@@ -355,16 +354,16 @@ Result<const BatchEstimateKernel*> MultiQueryPi::EstimateAllRunning()
   // clamps at zero and its inputs are finite (ComputeSweep validates
   // cost/weight, estimated_rate() is floored), so sanitization would
   // be a no-op on every row.
-  incremental_fast_path_ += kernel_.size();
+  counters_.incremental_fast_path.Increment(kernel_.size());
   return &kernel_;
 }
 
 Result<SimTime> MultiQueryPi::QuiescentEta() const {
   if (SweepReady()) {
-    ++incremental_fast_path_;
+    counters_.incremental_fast_path.Increment();
     return SanitizeEta(kernel_.QuiescentTime());
   }
-  ++incremental_fallback_;
+  counters_.incremental_fallback.Increment();
   auto forecast = ForecastShared();
   if (!forecast.ok()) return forecast.status();
   return SanitizeEta((*forecast)->quiescent_time());
@@ -395,12 +394,12 @@ Result<SimTime> MultiQueryPi::EstimateWhatIf(const WhatIf& scenario,
           remaining -= kernel_.RemovalBenefit(target, victim);
         }
       }
-      ++incremental_fast_path_;
+      counters_.incremental_fast_path.Increment();
       return SanitizeEta(std::max(0.0, remaining));
     }
     // Target not running — the simulator reports it authoritatively.
   }
-  ++incremental_fallback_;
+  counters_.incremental_fallback.Increment();
   auto forecast = ForecastWhatIf(scenario);
   if (!forecast.ok()) return forecast.status();
   auto eta = forecast->FinishTimeOf(target);

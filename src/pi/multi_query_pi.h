@@ -38,6 +38,7 @@
 
 #include "common/stats.h"
 #include "common/units.h"
+#include "obs/instruments.h"
 #include "pi/analytic_simulator.h"
 #include "pi/batch_kernel.h"
 #include "pi/future_model.h"
@@ -72,13 +73,14 @@ struct MultiQueryPiOptions {
   /// in per forecast).
   SimTime horizon = 1e7;
   std::size_t max_events = 4'000'000;
-  /// Rate guardrail: the effective estimation rate never drops below
-  /// this fraction of the configured rate. A measured rate at/below
-  /// the floor (a collapse, a corrupted window, a denormal EWMA tail)
-  /// would otherwise divide estimates toward infinity; the floor keeps
-  /// every forecast finite and counts the clamp in rate_floor_hits().
-  double min_rate_fraction = 1e-3;
 };
+
+/// Rate guardrail: the effective estimation rate never drops below
+/// this fraction of the configured rate. A measured rate at/below the
+/// floor (a collapse, a corrupted window, a denormal EWMA tail) would
+/// otherwise divide estimates toward infinity; the floor keeps every
+/// forecast finite and counts the clamp in rate_floor_hits().
+inline constexpr double kMinRateFraction = 1e-3;
 
 class MultiQueryPi {
  public:
@@ -167,23 +169,45 @@ class MultiQueryPi {
 
   const FutureWorkloadModel* future_model() const { return future_; }
 
+  /// The exported totals: instruments owned here and counted as
+  /// estimates happen (relaxed atomics, readable from any thread).
+  /// PiService registers each in its metrics registry as a `pi.*`
+  /// counter; the accessors below read the same instruments.
+  struct Counters {
+    obs::Counter forecast_cache_hits;
+    obs::Counter forecast_cache_misses;
+    obs::Counter incremental_fast_path;
+    obs::Counter incremental_fallback;
+    obs::Counter rate_floor_hits;
+    obs::Counter corrupt_rate_samples;
+    obs::Counter degraded_estimates;
+  };
+  /// For registration, and for a caller that degrades a PI estimate
+  /// itself (PiService's publication guardrail) to count it.
+  Counters* counters() { return &counters_; }
+
   /// Forecast-cache statistics: a hit is an estimate served from the
   /// memoized simulator forecast, a miss is a full analytic simulation
   /// (at most one per key). Sweeps are not simulations; what-if
   /// scenario simulations are counted separately.
-  std::uint64_t forecast_cache_hits() const { return cache_hits_; }
-  std::uint64_t forecast_cache_misses() const { return cache_misses_; }
+  std::uint64_t forecast_cache_hits() const {
+    return counters_.forecast_cache_hits.value();
+  }
+  std::uint64_t forecast_cache_misses() const {
+    return counters_.forecast_cache_misses.value();
+  }
   std::uint64_t whatif_forecasts() const { return whatif_forecasts_; }
 
   /// Estimator-path statistics: estimates read from the closed-form
-  /// stage sweep,
+  /// stage sweep (a what-if answered from it counts when it is asked,
+  /// not at the next quantum),
   std::uint64_t incremental_fast_path() const {
-    return incremental_fast_path_;
+    return counters_.incremental_fast_path.value();
   }
   /// and estimates the closed form could not express, served by the
   /// analytic simulator instead.
   std::uint64_t incremental_fallback() const {
-    return incremental_fallback_;
+    return counters_.incremental_fallback.value();
   }
 
   /// Attaches a chaos harness (nullptr detaches; not owned). Armed
@@ -193,18 +217,22 @@ class MultiQueryPi {
     fault_ = injector;
   }
 
-  /// Degradation accounting, for the service's `pi.*` metrics:
-  /// times the rate floor (min_rate_fraction) had to clamp the
-  /// measured rate,
-  std::uint64_t rate_floor_hits() const { return rate_floor_hits_; }
+  /// Degradation accounting: times the rate floor (kMinRateFraction)
+  /// had to clamp the measured rate,
+  std::uint64_t rate_floor_hits() const {
+    return counters_.rate_floor_hits.value();
+  }
   /// rate-window samples rejected as non-finite or non-positive
   /// (injected corruption, stalled windows),
   std::uint64_t corrupt_rate_samples() const {
-    return corrupt_rate_samples_;
+    return counters_.corrupt_rate_samples.value();
   }
-  /// and estimates that came back NaN/negative from the model and were
-  /// degraded to kUnknown instead of being propagated.
-  std::uint64_t degraded_estimates() const { return degraded_estimates_; }
+  /// and estimates degraded instead of propagated: NaN/negative model
+  /// output sanitized to kUnknown here, plus whatever a caller counts
+  /// through counters() (PiService's non-credible published ETAs).
+  std::uint64_t degraded_estimates() const {
+    return counters_.degraded_estimates.value();
+  }
 
  private:
   /// The base (no-scenario) load vectors, rebuilt only when the Rdbms
@@ -279,14 +307,9 @@ class MultiQueryPi {
   mutable bool forecast_done_ = false;  // memo_key_'s simulation ran
   mutable Status forecast_status_;
   mutable std::shared_ptr<const ForecastResult> forecast_;
-  mutable std::uint64_t cache_hits_ = 0;
-  mutable std::uint64_t cache_misses_ = 0;
   mutable std::uint64_t whatif_forecasts_ = 0;
-  mutable std::uint64_t rate_floor_hits_ = 0;
-  mutable std::uint64_t degraded_estimates_ = 0;
-  mutable std::uint64_t incremental_fast_path_ = 0;
-  mutable std::uint64_t incremental_fallback_ = 0;
-  std::uint64_t corrupt_rate_samples_ = 0;
+  // Mutable: const estimate calls count into them.
+  mutable Counters counters_;
 };
 
 }  // namespace mqpi::pi

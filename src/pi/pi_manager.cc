@@ -26,7 +26,7 @@ PiManager::PiManager(const sched::Rdbms* db, PiManagerOptions options,
 
 void PiManager::Track(QueryId id) {
   tracked_.try_emplace(id, Tracked{SingleQueryPi(id,
-                                                 options_.single_speed_alpha,
+                                                 SingleQueryPi::kDefaultSpeedAlpha,
                                                  options_.single_speed_window),
                                    {}});
 }

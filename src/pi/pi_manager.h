@@ -44,8 +44,6 @@ struct PiManagerOptions {
   bool record_queue_blind_variant = false;
   /// Configuration of the primary multi-query PI.
   MultiQueryPiOptions multi;
-  /// Speed-EWMA weight of the single-query PIs.
-  double single_speed_alpha = 0.3;
   /// Sliding-window span for single-query speed samples (seconds).
   SimTime single_speed_window = 2.0;
 };

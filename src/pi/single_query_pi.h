@@ -25,9 +25,11 @@ namespace mqpi::pi {
 
 class SingleQueryPi {
  public:
+  static constexpr double kDefaultSpeedAlpha = 0.3;
+
   /// `speed_alpha` is the EWMA weight; `window` the minimum span of
   /// simulated seconds over which one speed sample is measured.
-  explicit SingleQueryPi(QueryId id, double speed_alpha = 0.3,
+  explicit SingleQueryPi(QueryId id, double speed_alpha = kDefaultSpeedAlpha,
                          SimTime window = 2.0);
 
   QueryId id() const { return id_; }

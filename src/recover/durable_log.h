@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/instruments.h"
 #include "recover/event.h"
 #include "recover/journal.h"
 
@@ -49,7 +50,6 @@ class FaultInjector;
 }  // namespace mqpi::fault
 namespace mqpi::service {
 class MetricsRegistry;
-class Counter;
 }  // namespace mqpi::service
 
 namespace mqpi::recover {
@@ -156,9 +156,9 @@ class DurableLog : public EventSink {
   /// checkpoint lands).
   std::vector<Event> history_;
 
-  service::Counter* journal_records_ = nullptr;
-  service::Counter* journal_write_fails_ = nullptr;
-  service::Counter* checkpoints_written_ = nullptr;
+  obs::Counter* journal_records_ = nullptr;
+  obs::Counter* journal_write_fails_ = nullptr;
+  obs::Counter* checkpoints_written_ = nullptr;
 };
 
 }  // namespace mqpi::recover

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "common/logging.h"
+
 namespace mqpi::service {
 
 namespace {
@@ -174,41 +176,47 @@ std::string Histogram::Render() const {
   return out;
 }
 
-Counter* MetricsRegistry::counter(const std::string& name,
-                                  const Labels& labels) {
+template <typename T, typename Make>
+T* MetricsRegistry::Lookup(FamilyMap<T>* families, const std::string& name,
+                           const Labels& labels, Make make) {
   std::lock_guard<std::mutex> lock(mu_);
   Labels canon = Canonical(labels);
-  auto& series = counters_[name][LabelKey(canon)];
-  if (!series.instrument) {
+  auto& series = (*families)[name][LabelKey(canon)];
+  if (series.instrument == nullptr) {
     series.labels = std::move(canon);
-    series.instrument = std::make_unique<Counter>();
+    series.instrument = make(&series.owned);
   }
-  return series.instrument.get();
+  return series.instrument;
+}
+
+Counter* MetricsRegistry::counter(const std::string& name,
+                                  const Labels& labels) {
+  return Lookup(&counters_, name, labels, [](auto* owned) {
+    return (*owned = std::make_unique<Counter>()).get();
+  });
+}
+
+Counter* MetricsRegistry::counter(const std::string& name,
+                                  const Labels& labels, Counter* owned) {
+  Counter* registered =
+      Lookup(&counters_, name, labels, [owned](auto*) { return owned; });
+  MQPI_DCHECK(registered == owned);
+  return registered;
 }
 
 Gauge* MetricsRegistry::gauge(const std::string& name, const Labels& labels) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Labels canon = Canonical(labels);
-  auto& series = gauges_[name][LabelKey(canon)];
-  if (!series.instrument) {
-    series.labels = std::move(canon);
-    series.instrument = std::make_unique<Gauge>();
-  }
-  return series.instrument.get();
+  return Lookup(&gauges_, name, labels, [](auto* owned) {
+    return (*owned = std::make_unique<Gauge>()).get();
+  });
 }
 
 Histogram* MetricsRegistry::histogram(const std::string& name,
                                       const Labels& labels,
                                       std::vector<double> bounds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  Labels canon = Canonical(labels);
-  auto& series = histograms_[name][LabelKey(canon)];
-  if (!series.instrument) {
-    series.labels = std::move(canon);
-    series.instrument = std::make_unique<Histogram>(
-        bounds.empty() ? Histogram::DefaultBounds() : std::move(bounds));
-  }
-  return series.instrument.get();
+  return Lookup(&histograms_, name, labels, [&bounds](auto* owned) {
+    if (bounds.empty()) bounds = Histogram::DefaultBounds();
+    return (*owned = std::make_unique<Histogram>(std::move(bounds))).get();
+  });
 }
 
 std::string MetricsRegistry::TextDump() const {

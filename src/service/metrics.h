@@ -1,13 +1,18 @@
 // Metrics: a small thread-safe registry of counters, gauges, and
 // latency histograms for the PI service layer.
 //
-// Instruments are created on first use (`registry.counter("name")`) and
-// live as long as the registry; the returned pointers are stable, so hot
-// paths cache them and update lock-free (counters and gauges are single
-// atomics; histograms take a short per-instrument mutex). Every lookup
-// may also carry labels — `histogram("pi.estimate_error",
-// {{"priority", "high"}})` — which key a distinct series within the
-// same named family, mirroring the Prometheus data model.
+// An instrument is created on first use (`registry.counter("name")`)
+// and owned by the registry, or owned by the layer that counts it and
+// registered once (`counter("name", labels, &owned)`; the owner must
+// outlive the registry — PiService declares its MultiQueryPi before its
+// registry). Either way a scrape reads the instrument in place, and a
+// later lookup of the series returns the registered pointer. Pointers
+// are stable, so hot paths cache them and update lock-free (counters
+// and gauges are single atomics; histograms take a short
+// per-instrument mutex). Every lookup may also carry labels —
+// `histogram("pi.estimate_error", {{"priority", "high"}})` — which key
+// a distinct series within the same named family, mirroring the
+// Prometheus data model.
 //
 // Two renderings:
 //   - `TextDump()` — flat, grep-friendly lines for the dashboard
@@ -26,7 +31,6 @@
 //     underscores, the one transform needed for a legal metric name.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -35,35 +39,16 @@
 #include <utility>
 #include <vector>
 
+#include "obs/instruments.h"
+
 namespace mqpi::service {
 
 /// Key/value pairs distinguishing series within a metric family.
 /// Order-insensitive: the registry canonicalises by sorting on key.
 using Labels = std::vector<std::pair<std::string, std::string>>;
 
-/// Monotonically increasing event count.
-class Counter {
- public:
-  void Increment(std::uint64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  std::uint64_t value() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-write-wins instantaneous value.
-class Gauge {
- public:
-  void Set(double v) { value_.store(v, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
+using Counter = obs::Counter;
+using Gauge = obs::Gauge;
 
 /// Fixed-boundary histogram (cumulative buckets, Prometheus-style) with
 /// count/sum/min/max. Default boundaries suit millisecond latencies.
@@ -112,13 +97,18 @@ class Histogram {
   double max_ = 0.0;
 };
 
-/// Named instruments, created on demand. Thread-safe; instrument
-/// pointers remain valid for the registry's lifetime. A (name, labels)
-/// pair identifies one series; the same name with different labels is
-/// the same family rendered as separate samples.
+/// Named instruments, created on demand or registered by their owner.
+/// Thread-safe; instrument pointers remain valid for the registry's
+/// lifetime. A (name, labels) pair identifies one series; the same name
+/// with different labels is the same family rendered as separate
+/// samples.
 class MetricsRegistry {
  public:
   Counter* counter(const std::string& name, const Labels& labels = {});
+  /// Registers `owned` (not owned by the registry; must outlive it) as
+  /// the series and returns it. The series must not exist yet.
+  Counter* counter(const std::string& name, const Labels& labels,
+                   Counter* owned);
   Gauge* gauge(const std::string& name, const Labels& labels = {});
   /// `bounds` applies only when this call creates the series; later
   /// lookups return the existing instrument regardless.
@@ -142,11 +132,17 @@ class MetricsRegistry {
   template <typename T>
   struct Series {
     Labels labels;  // canonical (sorted by key)
-    std::unique_ptr<T> instrument;
+    T* instrument = nullptr;  // == owned.get() unless registered
+    std::unique_ptr<T> owned;
   };
   /// family name -> canonical label string -> series.
   template <typename T>
   using FamilyMap = std::map<std::string, std::map<std::string, Series<T>>>;
+  /// The (name, labels) series' instrument; if absent, registers
+  /// `make(&series.owned)`.
+  template <typename T, typename Make>
+  T* Lookup(FamilyMap<T>* families, const std::string& name,
+            const Labels& labels, Make make);
 
   mutable std::mutex mu_;
   FamilyMap<Counter> counters_;

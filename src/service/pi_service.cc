@@ -132,18 +132,22 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
   quanta_stepped_ = metrics_.counter("service.quanta_stepped");
   snapshots_published_ = metrics_.counter("service.snapshots_published");
   snapshot_reads_ = metrics_.counter("service.snapshot_reads");
-  forecast_cache_hit_ = metrics_.counter("pi.forecast_cache_hit");
-  forecast_cache_miss_ = metrics_.counter("pi.forecast_cache_miss");
-  incremental_fast_path_ = metrics_.counter("pi.incremental_fast_path");
-  incremental_fallback_ = metrics_.counter("pi.incremental_fallback");
+  // The PI's own instruments, read in place: /metrics is current
+  // between quanta too.
+  pi::MultiQueryPi::Counters& own = *multi_.counters();
+  metrics_.counter("pi.forecast_cache_hit", {}, &own.forecast_cache_hits);
+  metrics_.counter("pi.forecast_cache_miss", {}, &own.forecast_cache_misses);
+  metrics_.counter("pi.incremental_fast_path", {}, &own.incremental_fast_path);
+  metrics_.counter("pi.incremental_fallback", {}, &own.incremental_fallback);
+  metrics_.counter("pi.rate_floor_hits", {}, &own.rate_floor_hits);
+  metrics_.counter("pi.corrupt_rate_samples", {}, &own.corrupt_rate_samples);
+  degraded_estimates_ = metrics_.counter("pi.degraded_estimates", {},
+                                         &own.degraded_estimates);
   stale_snapshots_ = metrics_.counter("service.stale_snapshots");
   watchdog_restarts_ = metrics_.counter("service.watchdog_restarts");
   submits_shed_ = metrics_.counter("service.submits_shed");
   drains_ = metrics_.counter("service.drains");
   pin_misses_ = metrics_.counter("service.ticker_pin_misses");
-  degraded_estimates_ = metrics_.counter("pi.degraded_estimates");
-  rate_floor_hits_ = metrics_.counter("pi.rate_floor_hits");
-  corrupt_rate_samples_ = metrics_.counter("pi.corrupt_rate_samples");
   uptime_quanta_gauge_ = metrics_.gauge("service.uptime_quanta");
   auditor_samples_gauge_ = metrics_.gauge("obs.auditor_samples");
   ticker_age_quanta_gauge_ =
@@ -404,15 +408,13 @@ Status PiService::CloseSession(std::uint64_t session_id) {
     for (auto& arrival : keep) arrivals_.push(std::move(arrival));
   }
 
-  if (options_.abort_queries_on_session_close) {
-    // Abort fires the event listener, which mutates session->live —
-    // iterate a copy.
-    const std::vector<QueryId> live(session->live.begin(),
-                                    session->live.end());
-    for (QueryId id : live) {
-      const Status status = db_->Abort(id);
-      (void)status;  // already-terminal races are fine
-    }
+  // Closing a session aborts its still-live queries. Abort fires the
+  // event listener, which mutates session->live — iterate a copy.
+  const std::vector<QueryId> live(session->live.begin(),
+                                  session->live.end());
+  for (QueryId id : live) {
+    const Status status = db_->Abort(id);
+    (void)status;  // already-terminal races are fine
   }
   sessions_.erase(session_id);
   metrics_.counter("sessions.closed")->Increment();
@@ -502,8 +504,7 @@ void PiService::StepAndPublish(SimTime dt) {
       terminal = TakeTerminalObservationsLocked();
       ReapExpiredLocked();
     }
-    RecordForecastCacheMetricsLocked();
-    RecordDegradationMetricsLocked();
+    if (fault_ != nullptr) RecordFaultFiresLocked();
   }
   if (delayed) {
     // Publication is down this quantum: readers keep the previous
@@ -841,56 +842,21 @@ Result<SimTime> PiService::EstimateWhatIf(
   return multi_.EstimateWhatIf(scenario, target);
 }
 
-void PiService::RecordForecastCacheMetricsLocked() {
-  const std::uint64_t hits = multi_.forecast_cache_hits();
-  const std::uint64_t misses = multi_.forecast_cache_misses();
-  if (!MQPI_DCHECK(hits >= seen_cache_hits_ &&
-                   misses >= seen_cache_misses_)) {
-    seen_cache_hits_ = hits;
-    seen_cache_misses_ = misses;
-    return;
-  }
-  forecast_cache_hit_->Increment(hits - seen_cache_hits_);
-  forecast_cache_miss_->Increment(misses - seen_cache_misses_);
-  seen_cache_hits_ = hits;
-  seen_cache_misses_ = misses;
-
-  const auto sync = [](Counter* counter, std::uint64_t total,
-                       std::uint64_t* seen) {
-    if (total > *seen) counter->Increment(total - *seen);
-    *seen = total;
-  };
-  sync(incremental_fast_path_, multi_.incremental_fast_path(),
-       &seen_incremental_fast_path_);
-  sync(incremental_fallback_, multi_.incremental_fallback(),
-       &seen_incremental_fallback_);
-}
-
-void PiService::RecordDegradationMetricsLocked() {
-  const auto sync = [](Counter* counter, std::uint64_t total,
-                       std::uint64_t* seen) {
-    if (total > *seen) counter->Increment(total - *seen);
-    *seen = total;
-  };
-  sync(rate_floor_hits_, multi_.rate_floor_hits(), &seen_rate_floor_hits_);
-  sync(corrupt_rate_samples_, multi_.corrupt_rate_samples(),
-       &seen_corrupt_rate_samples_);
-  sync(degraded_estimates_, multi_.degraded_estimates(),
-       &seen_degraded_estimates_);
-  if (fault_ == nullptr) return;
+void PiService::RecordFaultFiresLocked() {
   // Per-point fire counts, labeled by fault-point name. The catalog
   // names are string literals with stable addresses, so the seen-map
   // can key on the pointer.
   for (const auto& stat : fault_->Stats()) {
     std::uint64_t* seen = &seen_fault_fires_[stat.point];
-    if (stat.fires > *seen) {
+    if (stat.lifetime_fires > *seen) {
+      const std::uint64_t fires = stat.lifetime_fires - *seen;
       metrics_.counter("fault.injected", {{"point", stat.point}})
-          ->Increment(stat.fires - *seen);
+          ->Increment(fires);
       if (flight_.enabled()) {
         flight_.Record(obs::FlightEventKind::kFault, "fault", stat.point,
-                       static_cast<double>(stat.fires - *seen));
+                       static_cast<double>(fires));
       }
-      *seen = stat.fires;
+      *seen = stat.lifetime_fires;
     }
   }
 }
@@ -905,7 +871,6 @@ void PiService::PublishNow() {
       AppendEventLocked(event);
     }
     snapshot = BuildSnapshotLocked();
-    RecordForecastCacheMetricsLocked();
   }
   Publish(std::move(snapshot));
 }
@@ -1095,7 +1060,9 @@ void PiService::TickerLoop() {
       std::lock_guard<std::mutex> lock(state_mu_);
       idle = IdleLocked();
     }
-    if (idle && options_.pause_when_idle) {
+    // Park while nothing is running, queued, or scheduled instead of
+    // burning CPU advancing an empty clock.
+    if (idle) {
       std::unique_lock<std::mutex> lock(wake_mu_);
       wake_cv_.wait(lock, [&] {
         return stop_.load(std::memory_order_acquire) ||

@@ -114,12 +114,6 @@ struct PiServiceOptions {
   double time_scale = 0.0;
   /// false = manual mode: no ticker thread, drive with Advance().
   bool start_ticker = true;
-  /// Ticker parks while nothing is running, queued, or scheduled
-  /// (instead of burning CPU advancing an empty clock).
-  bool pause_when_idle = true;
-  /// Closing a session aborts its still-live queries (and drops its
-  /// scheduled arrivals either way).
-  bool abort_queries_on_session_close = true;
   /// Retention window for terminal queries, in quanta: a finished or
   /// aborted query's row is in every snapshot built less than this
   /// many quanta after its finish_time, and in none after. Then its
@@ -290,6 +284,10 @@ class PiService {
                                  QueryId target);
 
   MetricsRegistry* metrics() { return &metrics_; }
+
+  /// The multi-query PI: its counters are readable from any thread, the
+  /// rest only in manual mode between Advance calls.
+  const pi::MultiQueryPi& multi_query_pi() const { return multi_; }
 
   /// Estimate-accuracy auditor (internally locked; reading its reports
   /// never touches the service's state lock).
@@ -516,13 +514,12 @@ class PiService {
   std::condition_variable watchdog_cv_;
   std::thread watchdog_;
 
-  // Requires state_mu_. Publishes the PI forecast-cache deltas since
-  // the last call into the hit/miss counters.
-  void RecordForecastCacheMetricsLocked();
-  // Requires state_mu_. Publishes PI degradation-counter deltas
-  // (rate-floor clamps, corrupt window samples, degraded estimates)
-  // and per-point fault-fire counts.
-  void RecordDegradationMetricsLocked();
+  // Requires state_mu_ and fault_. Publishes per-point fault fires
+  // since the last call as `fault.injected{point}` and as flight
+  // events. The one counter still copied per quantum, by a poll: a
+  // single injector serves every layer and shard, and each fire also
+  // belongs in this service's flight recorder.
+  void RecordFaultFiresLocked();
 
   MetricsRegistry metrics_;
   // Hot-path instruments resolved on first use, so a series appears in
@@ -552,34 +549,18 @@ class PiService {
   Counter* quanta_stepped_;
   Counter* snapshots_published_;
   Counter* snapshot_reads_;
-  Counter* forecast_cache_hit_;
-  Counter* forecast_cache_miss_;
-  Counter* incremental_fast_path_;
-  Counter* incremental_fallback_;
   Counter* stale_snapshots_;
   Counter* watchdog_restarts_;
   Counter* submits_shed_;
   Counter* drains_;
   Counter* pin_misses_;
   Counter* degraded_estimates_;
-  Counter* rate_floor_hits_;
-  Counter* corrupt_rate_samples_;
   Gauge* uptime_quanta_gauge_;
   Gauge* auditor_samples_gauge_;
   Gauge* ticker_age_quanta_gauge_;
   Histogram* step_wall_ms_;
   Histogram* snapshot_age_ms_;
-  // Last PI cache totals already published (guarded by state_mu_).
-  std::uint64_t seen_cache_hits_ = 0;
-  std::uint64_t seen_cache_misses_ = 0;
-  // Last PI estimator-path totals already published (state_mu_).
-  std::uint64_t seen_incremental_fast_path_ = 0;
-  std::uint64_t seen_incremental_fallback_ = 0;
-  // Last PI degradation totals already published (guarded by state_mu_).
-  std::uint64_t seen_rate_floor_hits_ = 0;
-  std::uint64_t seen_corrupt_rate_samples_ = 0;
-  std::uint64_t seen_degraded_estimates_ = 0;
-  // Last per-fault-point fire totals already published (state_mu_).
+  // Last per-fault-point lifetime fires already published (state_mu_).
   std::unordered_map<const void*, std::uint64_t> seen_fault_fires_;
 
   fault::FaultInjector* const fault_;  // == options_.fault, cached

@@ -13,9 +13,11 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string_view>
 #include <vector>
 
 #include "fault/fault_injector.h"
+#include "obs/flight_recorder.h"
 #include "pi/multi_query_pi.h"
 #include "sched/rdbms.h"
 #include "service/pi_service.h"
@@ -455,6 +457,42 @@ TEST(ServiceDegradationTest, AbsurdEstimateDegradesToLastKnownGood) {
                           {{"point", fault::kSchedRateCollapse}})
                 ->value(),
             0u);
+}
+
+TEST(ServiceDegradationTest, ReArmedFaultPointKeepsCounting) {
+  // Re-arming a point resets its per-arm fire count; the service's
+  // `fault.injected` poll must still see every later fire, in the
+  // metric and in the flight recorder.
+  storage::Catalog catalog;
+  FaultInjector injector;
+  auto options = ManualServiceOptions();
+  options.fault = &injector;
+  service::PiService service(&catalog, options);
+  auto session = service.OpenSession();
+  ASSERT_TRUE(session->Submit(QuerySpec::Synthetic(1e5)).ok());
+  service::Counter* injected = service.metrics()->counter(
+      "fault.injected", {{"point", fault::kSchedRateCollapse}});
+
+  injector.ArmSchedule(fault::kSchedRateCollapse, {0, 1, 2, 3, 4}, 0.5);
+  ASSERT_TRUE(service.Advance(1.0).ok());
+  EXPECT_EQ(injected->value(), 5u);
+
+  injector.ArmSchedule(fault::kSchedRateCollapse, {0, 1, 2}, 0.5);
+  ASSERT_TRUE(service.Advance(1.0).ok());
+  EXPECT_EQ(injected->value(), 8u);
+  const auto stats = injector.Stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].fires, 3u);
+  EXPECT_EQ(stats[0].lifetime_fires, 8u);
+
+  double recorded = 0.0;
+  for (const auto& event : service.flight_recorder()->Events()) {
+    if (event.kind == obs::FlightEventKind::kFault &&
+        std::string_view(event.name) == fault::kSchedRateCollapse) {
+      recorded += event.value;
+    }
+  }
+  EXPECT_EQ(recorded, 8.0);
 }
 
 TEST(ServiceWatchdogTest, RestartsAStalledTickerAndDrains) {

@@ -521,11 +521,11 @@ TEST(ServiceAuditTest, BudgetedTrajectoriesScoreLikeFullOnes) {
       // band violation, so the budgeted trajectory may settle earlier
       // than the full one, but never more than one stride later.
       // "Never settled" counts as settling at the end of the scored
-      // window, 1 - min_truth_fraction of the lifetime.
+      // window, 1 - kMinTruthFraction of the lifetime.
       const auto settled = [](const EstimatorScore& score) {
         return score.converged_fraction != kUnknown
                    ? score.converged_fraction
-                   : 1.0 - AuditorOptions{}.min_truth_fraction;
+                   : 1.0 - kMinTruthFraction;
       };
       EXPECT_LE(settled(got), settled(want) + stride / lifetime_quanta +
                                   kConvergenceSlack);

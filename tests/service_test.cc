@@ -12,14 +12,18 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <iterator>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/random.h"
 #include "engine/planner.h"
+#include "fault/fault_injector.h"
 #include "net/wire.h"
+#include "pi/multi_query_pi.h"
 #include "pi/pi_manager.h"
 #include "sched/rdbms.h"
 #include "service/metrics.h"
@@ -215,6 +219,39 @@ TEST(MetricsTest, ConcurrentIncrementsDoNotLoseCounts) {
             static_cast<std::uint64_t>(kThreads * kPerThread));
 }
 
+TEST(MetricsTest, OwnedCounterIsReadInPlace) {
+  // A layer registers the counter it owns; the registry renders and
+  // returns that instrument, never a copy.
+  Counter owned;
+  MetricsRegistry registry;
+  EXPECT_EQ(registry.counter("layer.events", {}, &owned), &owned);
+  EXPECT_EQ(registry.counter("layer.events"), &owned);
+  owned.Increment(7);
+  EXPECT_NE(registry.TextDump().find("counter   layer.events 7\n"),
+            std::string::npos);
+  EXPECT_NE(registry.PrometheusDump().find("layer_events 7\n"),
+            std::string::npos);
+}
+
+TEST(MetricsTest, GaugeAddIsAtomicUnderConcurrentDeltas) {
+  MetricsRegistry registry;
+  Gauge* live = registry.gauge("live");
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 5000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) {
+        live->Add(1.0);
+        live->Add(-1.0);
+        live->Add(1.0);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(live->value(), double(kThreads * kPerThread));
+}
+
 // ---- manual mode ------------------------------------------------------------
 
 TEST(ServiceManualTest, SessionLifecycleAndSnapshotProgress) {
@@ -381,6 +418,122 @@ TEST(ServiceManualTest, SteadyFastPathQuantaRunNoSimulation) {
   // At least one fast-path read per row per quantum.
   EXPECT_GE(fast->value() - fast_before, kQueries * kQuanta);
   EXPECT_TRUE(session->Close().ok());
+}
+
+// The PI's exported totals, by the name the service registers them
+// under.
+struct PiSeries {
+  const char* name;
+  std::uint64_t (pi::MultiQueryPi::*read)() const;
+};
+constexpr PiSeries kPiSeries[] = {
+    {"pi.forecast_cache_hit", &pi::MultiQueryPi::forecast_cache_hits},
+    {"pi.forecast_cache_miss", &pi::MultiQueryPi::forecast_cache_misses},
+    {"pi.incremental_fast_path", &pi::MultiQueryPi::incremental_fast_path},
+    {"pi.incremental_fallback", &pi::MultiQueryPi::incremental_fallback},
+    {"pi.rate_floor_hits", &pi::MultiQueryPi::rate_floor_hits},
+    {"pi.corrupt_rate_samples", &pi::MultiQueryPi::corrupt_rate_samples},
+    {"pi.degraded_estimates", &pi::MultiQueryPi::degraded_estimates},
+};
+
+TEST(ServiceManualTest, WhatIfCountsBeforeTheNextQuantum) {
+  // /metrics reads the PI's own counter: a what-if between quanta is
+  // visible at once, not one quantum later.
+  storage::Catalog catalog;
+  PiService service(&catalog, ManualOptions());
+  auto session = service.OpenSession();
+  std::vector<QueryId> ids;
+  for (int i = 0; i < 4; ++i) {
+    auto id = session->Submit(QuerySpec::Synthetic(1e4 * (i + 1)));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  ASSERT_TRUE(service.Advance(1.0).ok());
+  Counter* fast = service.metrics()->counter("pi.incremental_fast_path");
+  const std::uint64_t before = fast->value();
+  pi::MultiQueryPi::WhatIf scenario;
+  scenario.blocked = {ids[1]};
+  ASSERT_TRUE(service.EstimateWhatIf(scenario, ids[0]).ok());
+  EXPECT_EQ(fast->value(), before + 1);
+  EXPECT_TRUE(session->Close().ok());
+}
+
+TEST(ServiceManualTest, PiSeriesEqualTheirAccessorsEveryQuantum) {
+  // Fast path (everything running) and simulator path (an MPL cap
+  // queues most of the load): after every quantum each registered
+  // pi.* series reads exactly what the PI reports.
+  for (const int mpl : {sched::RdbmsOptions{}.max_concurrent, 2}) {
+    SCOPED_TRACE(mpl);
+    storage::Catalog catalog;
+    auto options = ManualOptions();
+    options.rdbms.max_concurrent = mpl;
+    PiService service(&catalog, options);
+    auto session = service.OpenSession();
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE(session->Submit(QuerySpec::Synthetic(200.0 * (i + 1))).ok());
+    }
+    const pi::MultiQueryPi& multi = service.multi_query_pi();
+    for (int q = 0; q < 40; ++q) {
+      ASSERT_TRUE(service.Advance(0.1).ok());
+      for (const PiSeries& series : kPiSeries) {
+        EXPECT_EQ(service.metrics()->counter(series.name)->value(),
+                  (multi.*series.read)())
+            << series.name << " after quantum " << q;
+      }
+    }
+    if (mpl == 2) {
+      EXPECT_GT(multi.incremental_fallback(), 0u);
+      EXPECT_GT(multi.forecast_cache_misses(), 0u);
+    } else {
+      EXPECT_GT(multi.incremental_fast_path(), 0u);
+    }
+    EXPECT_TRUE(session->Close().ok());
+  }
+}
+
+TEST(ServiceManualTest, StartupSeriesAreUnchanged) {
+  // The series a fresh service exposes, with and without a fault
+  // injector attached. Pinned: registering the PI's own instruments
+  // must neither add nor drop a startup series.
+  const std::vector<std::string> want = {
+      "counter pi.corrupt_rate_samples",
+      "counter pi.degraded_estimates",
+      "counter pi.forecast_cache_hit",
+      "counter pi.forecast_cache_miss",
+      "counter pi.incremental_fallback",
+      "counter pi.incremental_fast_path",
+      "counter pi.rate_floor_hits",
+      "counter service.drains",
+      "counter service.quanta_stepped",
+      "counter service.snapshot_reads",
+      "counter service.snapshots_published",
+      "counter service.stale_snapshots",
+      "counter service.submits_shed",
+      "counter service.ticker_pin_misses",
+      "counter service.watchdog_restarts",
+      "gauge obs.auditor_samples",
+      "gauge service.ticker_last_step_age_quanta",
+      "gauge service.uptime_quanta",
+      "histogram snapshot.age_ms",
+      "histogram step.wall_ms",
+  };
+  for (const bool with_injector : {false, true}) {
+    SCOPED_TRACE(with_injector);
+    storage::Catalog catalog;
+    fault::FaultInjector injector;
+    auto options = ManualOptions();
+    if (with_injector) options.fault = &injector;
+    PiService service(&catalog, options);
+    std::vector<std::string> got;
+    std::istringstream dump(service.metrics()->TextDump());
+    std::string kind;
+    std::string name;
+    std::string rest;
+    while (dump >> kind >> name && std::getline(dump, rest)) {
+      got.push_back(kind + " " + name);
+    }
+    EXPECT_EQ(got, want);
+  }
 }
 
 TEST(ServiceManualTest, QueuePositionsExposedWhileWaiting) {
@@ -976,6 +1129,59 @@ TEST(ServiceTickerTest, StopWithQueriesStillRunningIsClean) {
 // threads while M readers poll snapshots flat out. Asserts no torn
 // snapshots (monotonic sequence numbers, internally consistent rows)
 // and a clean shutdown.
+TEST(ServiceStressTest, ScrapesReadPiCountersWhileTickerAndWhatIfsRun) {
+  // The PI's counters are read in place by scrape threads while the
+  // ticker thread and a what-if caller (both under the state lock)
+  // increment them: every read must be race-free (TSan) and no
+  // counter may ever go backwards.
+  storage::Catalog catalog;
+  auto options = ManualOptions();
+  options.start_ticker = true;
+  options.time_scale = 0.0;
+  PiService service(&catalog, options);
+  auto session = service.OpenSession();
+  std::vector<QueryId> ids;
+  for (int i = 0; i < 16; ++i) {
+    auto id = session->Submit(QuerySpec::Synthetic(1e6 + 1e4 * i));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::thread scraper([&] {
+    std::uint64_t last[std::size(kPiSeries)] = {};
+    while (!done.load(std::memory_order_acquire)) {
+      if (service.metrics()->PrometheusDump().find(
+              "pi_incremental_fast_path") == std::string::npos) {
+        failures.fetch_add(1);
+      }
+      for (std::size_t i = 0; i < std::size(kPiSeries); ++i) {
+        const std::uint64_t value =
+            service.metrics()->counter(kPiSeries[i].name)->value();
+        if (value < last[i]) failures.fetch_add(1);
+        last[i] = value;
+        (void)(service.multi_query_pi().*kPiSeries[i].read)();
+      }
+    }
+  });
+  std::thread whatifs([&] {
+    pi::MultiQueryPi::WhatIf scenario;
+    scenario.aborted = {ids[1]};
+    while (!done.load(std::memory_order_acquire)) {
+      (void)service.EstimateWhatIf(scenario, ids[0]);
+    }
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  done.store(true, std::memory_order_release);
+  scraper.join();
+  whatifs.join();
+  service.Stop();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(service.metrics()->counter("service.quanta_stepped")->value(), 0u);
+  EXPECT_GT(service.multi_query_pi().incremental_fast_path(), 0u);
+}
+
 TEST(ServiceStressTest, ConcurrentSubmittersAndReaders) {
   constexpr int kWriters = 4;
   constexpr int kReaders = 4;
@@ -1078,8 +1284,8 @@ TEST(ServiceStressTest, ConcurrentSubmittersAndReaders) {
   for (auto& writer : writers) writer.join();
   EXPECT_EQ(submit_failures.load(), 0);
 
-  // Sessions closed with abort_queries_on_session_close=true abort
-  // whatever was still live; the rest finished. Either way the system
+  // Closing a session aborts whatever was still live; the rest
+  // finished. Either way the system
   // must drain.
   ASSERT_TRUE(service.WaitUntilIdle(/*timeout_seconds=*/60.0));
   done.store(true, std::memory_order_release);

@@ -374,7 +374,8 @@ TEST_F(TelemetryServerTest, EpollAddFailureDoesNotLeakConnectionSlots) {
   // Inject exactly max_connections' worth of registration failures; if
   // any of those fds leaked into the scrape map, the follow-up scrape
   // below would be refused at the cap.
-  constexpr int kMaxConnections = 64;  // HttpExporter::Options default
+  constexpr int kMaxConnections =
+      static_cast<int>(net::HttpExporter::kMaxConnections);
   const std::uint64_t errors_before = server_->http()->requests_error();
   server_->http()->InjectEpollAddFailuresForTest(kMaxConnections);
   for (int i = 0; i < kMaxConnections; ++i) {

@@ -3,10 +3,12 @@
 #
 # Every metric registered through the MetricsRegistry with a string
 # literal — counter("..."), gauge("..."), histogram("...") in src/,
-# examples/, and bench/ — must use the dotted.lowercase convention (two
-# or more dot-separated segments of [a-z0-9_]), and one name must not be
-# registered under two different instrument kinds (Prometheus exposition
-# would emit conflicting # TYPE headers for the same family).
+# examples/, and bench/, including an owner's own instrument named by
+# counter("...", labels, &owned) — must use the dotted.lowercase
+# convention (two or more dot-separated segments of [a-z0-9_]), and one
+# name must not be registered under two different instrument kinds
+# (Prometheus exposition would emit conflicting # TYPE headers for the
+# same family).
 #
 # Tests are deliberately out of scope: they register throwaway local
 # names ("c", "h") to exercise the registry itself.
@@ -56,6 +58,9 @@ pi.forecast_cache_hit
 pi.forecast_cache_miss
 pi.incremental_fast_path
 pi.incremental_fallback
+pi.rate_floor_hits
+pi.corrupt_rate_samples
+pi.degraded_estimates
 recover.journal_records
 recover.journal_write_fails
 recover.checkpoints_written
