@@ -8,23 +8,35 @@
 //     publish costs one pointer swap plus one signal per registered
 //     waker, measured by fanout counters (publish_ops / publishes), so
 //     ticker throughput is flat from 1k to 100k subscribers;
-//   - per-subscriber delta encoding and queueing happens on the pool
-//     workers, and publish->pop latency stays bounded (p50/p99
-//     reported at every scale).
+//   - each published snapshot is encoded once per frame kind, on the
+//     pool workers, and every subscriber queues the shared bytes;
+//     publish->pop latency is reported as p50/p99 at every scale.
+//
+// Per scale: p50/p99 publish->pop latency over paced publishes (each
+// drained by 4 consumer threads before the next), then frames encoded
+// per publish over kCountedRounds more paced publishes, counted at the
+// encoder's profiler site ("net.delta_encode"), which every build has,
+// shared cache or not, then ticker quanta/sec over a burst with no
+// consumer pumping. Each column also records the process's max RSS.
 //
 // Modes:
-//   bench_net_fanout              full sweep at 1k / 10k / 100k
-//                                 subscribers; writes
-//                                 BENCH_net_fanout.json
-//   bench_net_fanout --perfsmoke  fast CI assertion (ctest label
-//                                 "perfsmoke"): ops-per-publish must be
-//                                 byte-identical at 64 and 2048
-//                                 subscribers — counter-based, no
-//                                 wall-clock thresholds, cannot flake
-//                                 on slow machines — and p99 latency
-//                                 is computed and reported.
+//   bench_net_fanout [--column-out FILE] [--baseline FILE]
+//       full sweep at 1k / 10k / 100k subscribers; writes
+//       BENCH_net_fanout.json with this build's column, preceded by
+//       the column in FILE when --baseline is given. --column-out
+//       writes only this build's column to FILE; run that on an older
+//       checkout to produce a baseline. Run it from the repository
+//       root.
+//   bench_net_fanout --perfsmoke
+//       fast CI assertion (ctest label "perfsmoke"): ops-per-publish
+//       and net.frames_encoded per publish must be identical at 64 and
+//       2048 subscribers — counter-based, no wall-clock thresholds,
+//       cannot flake on slow machines — and p99 latency is computed
+//       and reported.
 //
 // MQPI_NET_SUBS caps the largest scale (default 100000).
+
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -33,6 +45,8 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -41,9 +55,14 @@
 #include "net/client.h"
 #include "net/fanout.h"
 #include "net/server.h"
+#include "obs/profiler.h"
 #include "service/pi_service.h"
 #include "service/session.h"
 #include "storage/catalog.h"
+
+#ifndef MQPI_BENCH_BUILD_TYPE
+#define MQPI_BENCH_BUILD_TYPE "unknown"
+#endif
 
 using namespace mqpi;
 
@@ -51,6 +70,7 @@ namespace {
 
 constexpr int kQueries = 6;
 constexpr int kConsumerThreads = 4;
+constexpr int kCountedRounds = 3;
 
 std::int64_t NowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -67,6 +87,10 @@ struct ScaleResult {
   /// counters): 1 swap + 1 signal per waker, independent of the
   /// subscriber count.
   double ops_per_publish = 0.0;
+  /// Frames encoded per paced publish, counted at the encoder's
+  /// profiler site and by the hub's net.frames_encoded counter.
+  double encodes_per_publish = 0.0;
+  double frames_encoded_per_publish = 0.0;
   std::uint64_t frames_delivered = 0;
   std::uint64_t sheds = 0;
 };
@@ -152,12 +176,8 @@ ScaleResult RunScale(int subscribers, int paced_rounds, int burst_quanta) {
   std::vector<std::vector<double>> thread_latencies(kConsumerThreads);
   const std::size_t slice =
       (subs.size() + kConsumerThreads - 1) / kConsumerThreads;
-  for (int round = 0; round < paced_rounds; ++round) {
-    const Status status = service.Advance(options.rdbms.quantum);
-    if (!status.ok()) {
-      std::fprintf(stderr, "advance failed: %s\n", status.ToString().c_str());
-      std::exit(1);
-    }
+  // Pumps every subscriber up to the latest sequence, 4 threads wide.
+  auto drain = [&] {
     const std::uint64_t target = service.snapshot()->sequence;
     std::vector<std::thread> consumers;
     for (int t = 0; t < kConsumerThreads; ++t) {
@@ -168,13 +188,48 @@ ScaleResult RunScale(int subscribers, int paced_rounds, int burst_quanta) {
                              server.fanout(), &thread_latencies[t]);
     }
     for (auto& consumer : consumers) consumer.join();
+  };
+  auto advance = [&] {
+    const Status status = service.Advance(options.rdbms.quantum);
+    if (!status.ok()) {
+      std::fprintf(stderr, "advance failed: %s\n", status.ToString().c_str());
+      std::exit(1);
+    }
+  };
+  for (int round = 0; round < paced_rounds; ++round) {
+    advance();
+    drain();
   }
   std::vector<double> latencies;
   for (auto& part : thread_latencies) {
     latencies.insert(latencies.end(), part.begin(), part.end());
+    part.clear();
   }
   result.p50_us = Percentile(&latencies, 0.50);
   result.p99_us = Percentile(&latencies, 0.99);
+
+  // ---- counted rounds: frames encoded per publish ---------------------------
+  // Outside the latency samples, since the profiler is on here.
+  obs::Profiler* profiler = obs::GlobalProfiler();
+  const obs::ProfSite* encode_site = profiler->Site("net.delta_encode");
+  // Looked up by name, not through NetMetrics, so this source also
+  // builds against trees that predate the counter (it reads 0 there).
+  const std::string frames_encoded_name = "net.frames_encoded";
+  const service::Counter* frames_encoded =
+      service.metrics()->counter(frames_encoded_name);
+  const std::uint64_t encodes0 = encode_site->count();
+  const std::uint64_t frames_encoded0 = frames_encoded->value();
+  profiler->set_enabled(true);
+  for (int round = 0; round < kCountedRounds; ++round) {
+    advance();
+    drain();
+  }
+  profiler->set_enabled(false);
+  result.encodes_per_publish =
+      static_cast<double>(encode_site->count() - encodes0) / kCountedRounds;
+  result.frames_encoded_per_publish =
+      static_cast<double>(frames_encoded->value() - frames_encoded0) /
+      kCountedRounds;
 
   // ---- burst phase: ticker throughput with zero consumer pumping ------------
   const std::int64_t t0 = NowNs();
@@ -187,19 +242,7 @@ ScaleResult RunScale(int subscribers, int paced_rounds, int burst_quanta) {
       (static_cast<double>(t1 - t0) * 1e-9);
 
   // Drain so teardown never races a mid-sweep delivery.
-  {
-    const std::uint64_t target = service.snapshot()->sequence;
-    std::vector<std::thread> consumers;
-    std::vector<double> sink;
-    for (int t = 0; t < kConsumerThreads; ++t) {
-      const std::size_t begin = std::min(subs.size(), t * slice);
-      const std::size_t end = std::min(subs.size(), begin + slice);
-      if (begin == end) continue;
-      consumers.emplace_back(PumpSlice, &subs, begin, end, target,
-                             server.fanout(), &thread_latencies[t]);
-    }
-    for (auto& consumer : consumers) consumer.join();
-  }
+  drain();
 
   result.ops_per_publish =
       static_cast<double>(server.fanout()->publish_ops()) /
@@ -228,6 +271,28 @@ int Perfsmoke() {
                  large.ops_per_publish, large.subscribers);
     ok = false;
   }
+  // Encode-once, counter-based: frames encoded per publish do not grow
+  // with the subscriber count, and the hub's counter sees every encode.
+  if (small.frames_encoded_per_publish != large.frames_encoded_per_publish) {
+    std::fprintf(stderr,
+                 "perfsmoke FAIL: %.3f frames encoded/publish at %d "
+                 "subscribers vs %.3f at %d — each publish must be "
+                 "encoded once per frame kind, not per subscriber\n",
+                 small.frames_encoded_per_publish, small.subscribers,
+                 large.frames_encoded_per_publish, large.subscribers);
+    ok = false;
+  }
+  for (const ScaleResult* r : {&small, &large}) {
+    if (r->frames_encoded_per_publish != r->encodes_per_publish) {
+      std::fprintf(stderr,
+                   "perfsmoke FAIL: net.frames_encoded counted %.3f "
+                   "frames/publish, the encoder ran %.3f times at %d "
+                   "subscribers\n",
+                   r->frames_encoded_per_publish, r->encodes_per_publish,
+                   r->subscribers);
+      ok = false;
+    }
+  }
   if (small.sheds != 0 || large.sheds != 0) {
     std::fprintf(stderr, "perfsmoke FAIL: subscribers were shed\n");
     ok = false;
@@ -238,11 +303,43 @@ int Perfsmoke() {
   }
   if (!ok) return 1;
   std::printf(
-      "perfsmoke OK: %.3f fan-out ops/publish at both %d and %d "
-      "subscribers; p99 publish->pop %.0f us at %d subs\n",
-      large.ops_per_publish, small.subscribers, large.subscribers,
-      large.p99_us, large.subscribers);
+      "perfsmoke OK: %.3f fan-out ops/publish and %.3f frames "
+      "encoded/publish at both %d and %d subscribers; p99 publish->pop "
+      "%.0f us at %d subs\n",
+      large.ops_per_publish, large.frames_encoded_per_publish,
+      small.subscribers, large.subscribers, large.p99_us, large.subscribers);
   return 0;
+}
+
+double MaxRssMb() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // KiB on Linux
+}
+
+std::string ColumnJson(const std::vector<ScaleResult>& results) {
+  std::ostringstream os;
+  char buf[256];
+  std::snprintf(buf, sizeof buf, "%.1f", MaxRssMb());
+  os << "    {\n      \"git\": \"" << bench::GitCommit()
+     << "\", \"build_type\": \"" << MQPI_BENCH_BUILD_TYPE
+     << "\", \"max_rss_mb\": " << buf << ",\n      \"scales\": [\n";
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const ScaleResult& r = results[i];
+    std::snprintf(buf, sizeof buf,
+                  "        {\"subscribers\": %d, \"p50_us\": %.1f, "
+                  "\"p99_us\": %.1f, \"ticker_quanta_per_sec\": %.0f,\n",
+                  r.subscribers, r.p50_us, r.p99_us, r.ticker_quanta_per_sec);
+    os << buf;
+    std::snprintf(buf, sizeof buf,
+                  "         \"ops_per_publish\": %.3f, "
+                  "\"frames_encoded_per_publish\": %.3f, \"frames\": %llu}",
+                  r.ops_per_publish, r.encodes_per_publish,
+                  static_cast<unsigned long long>(r.frames_delivered));
+    os << buf << (i + 1 < results.size() ? "," : "") << "\n";
+  }
+  os << "      ]\n    }";
+  return os.str();
 }
 
 }  // namespace
@@ -251,13 +348,34 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--perfsmoke") == 0) {
     return Perfsmoke();
   }
+  std::string column_out;
+  std::string baseline;
+  for (int i = 1; i < argc; i += 2) {
+    const bool has_value = i + 1 < argc;
+    if (has_value && std::strcmp(argv[i], "--column-out") == 0) {
+      column_out = argv[i + 1];
+    } else if (has_value && std::strcmp(argv[i], "--baseline") == 0) {
+      baseline = argv[i + 1];
+    } else {
+      std::fprintf(stderr,
+                   "usage: bench_net_fanout [--perfsmoke | --column-out FILE "
+                   "| --baseline FILE]\n");
+      return 2;
+    }
+  }
+  std::string baseline_column;
+  if (!baseline.empty() && !bench::ReadColumn(baseline, &baseline_column)) {
+    std::fprintf(stderr, "cannot read %s\n", baseline.c_str());
+    return 1;
+  }
 
   bench::Banner(
       "Snapshot fan-out: publish->pop latency and ticker throughput vs "
       "subscriber count",
       "publish cost is O(1) in subscribers (pointer swap + per-pool "
-      "signal), so ticker quanta/sec stays flat while p50/p99 delivery "
-      "latency grows only with per-subscriber encode work on the pool");
+      "signal) and each publish is encoded once per frame kind, so "
+      "ticker quanta/sec stays flat while p50/p99 delivery latency "
+      "grows only with per-subscriber queue and decode work");
 
   const int max_subs = bench::EnvInt("MQPI_NET_SUBS", 100000);
   std::vector<int> scales;
@@ -266,42 +384,25 @@ int main(int argc, char** argv) {
   }
   if (scales.empty()) scales.push_back(max_subs);
 
-  std::FILE* json = std::fopen("BENCH_net_fanout.json", "w");
-  if (json == nullptr) {
-    std::fprintf(stderr, "cannot open BENCH_net_fanout.json\n");
-    return 1;
-  }
-  std::fprintf(json, "{\n  \"bench\": \"net_fanout\",\n"
-                     "  \"unit\": \"us\",\n  \"results\": [\n");
-
-  std::printf("%10s %10s %10s %16s %14s %12s\n", "subs", "p50 us", "p99 us",
-              "ticker quanta/s", "ops/publish", "frames");
+  std::printf("%10s %10s %10s %16s %12s %12s %12s\n", "subs", "p50 us",
+              "p99 us", "ticker quanta/s", "ops/publish", "enc/publish",
+              "frames");
   bool ok = true;
-  double first_ops = 0.0;
-  for (std::size_t s = 0; s < scales.size(); ++s) {
-    const int subscribers = scales[s];
+  std::vector<ScaleResult> results;
+  for (const int subscribers : scales) {
     const int paced = subscribers >= 100000 ? 5 : 10;
     const ScaleResult r = RunScale(subscribers, paced, 50);
-    std::printf("%10d %10.1f %10.1f %16.0f %14.3f %12llu\n", r.subscribers,
-                r.p50_us, r.p99_us, r.ticker_quanta_per_sec,
-                r.ops_per_publish,
+    std::printf("%10d %10.1f %10.1f %16.0f %12.3f %12.3f %12llu\n",
+                r.subscribers, r.p50_us, r.p99_us, r.ticker_quanta_per_sec,
+                r.ops_per_publish, r.encodes_per_publish,
                 static_cast<unsigned long long>(r.frames_delivered));
-    std::fprintf(json,
-                 "    {\"subscribers\": %d, \"p50_us\": %.1f, "
-                 "\"p99_us\": %.1f, \"ticker_quanta_per_sec\": %.0f, "
-                 "\"ops_per_publish\": %.3f, \"frames\": %llu}%s\n",
-                 r.subscribers, r.p50_us, r.p99_us, r.ticker_quanta_per_sec,
-                 r.ops_per_publish,
-                 static_cast<unsigned long long>(r.frames_delivered),
-                 s + 1 < scales.size() ? "," : "");
-    if (s == 0) {
-      first_ops = r.ops_per_publish;
-    } else if (r.ops_per_publish != first_ops) {
+    std::fflush(stdout);
+    if (!results.empty() && r.ops_per_publish != results[0].ops_per_publish) {
       std::fprintf(stderr,
                    "FAIL: fan-out ops/publish moved from %.3f to %.3f "
                    "between scales — publish must be O(1) in "
                    "subscribers\n",
-                   first_ops, r.ops_per_publish);
+                   results[0].ops_per_publish, r.ops_per_publish);
       ok = false;
     }
     if (r.sheds != 0) {
@@ -309,10 +410,24 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(r.sheds), r.subscribers);
       ok = false;
     }
+    results.push_back(r);
   }
-  std::fprintf(json, "  ]\n}\n");
-  std::fclose(json);
+  std::printf("max RSS %.1f MB\n", MaxRssMb());
   if (!ok) return 1;
+
+  const std::string column = ColumnJson(results);
+  if (!column_out.empty()) {
+    return bench::WriteFile(column_out, column + "\n") ? 0 : 1;
+  }
+  std::ostringstream json;
+  json << "{\n  \"bench\": \"net_fanout\",\n  \"cpu\": \""
+       << bench::CpuModel() << "\",\n  \"unit\": \"us\",\n"
+       << "  \"queries\": " << kQueries
+       << ", \"consumer_threads\": " << kConsumerThreads
+       << ", \"pool_threads\": 4,\n  \"columns\": [\n";
+  if (!baseline_column.empty()) json << baseline_column << ",\n";
+  json << column << "\n  ]\n}\n";
+  if (!bench::WriteFile("BENCH_net_fanout.json", json.str())) return 1;
   std::printf("\nresults written to BENCH_net_fanout.json\n");
   return 0;
 }

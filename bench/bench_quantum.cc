@@ -36,12 +36,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_util.h"
 #include "engine/planner.h"
 #include "obs/profiler.h"
 #include "pi/batch_kernel.h"
@@ -92,43 +92,6 @@ struct Cell {
   double fallback_per_quantum = 0.0;
   std::vector<SiteCost> sites;
 };
-
-/// The first line `command` prints; empty when it prints nothing.
-std::string FirstLineOf(const char* command) {
-  std::FILE* pipe = ::popen(command, "r");
-  if (pipe == nullptr) return "";
-  char buf[256] = {};
-  const bool got = std::fgets(buf, sizeof buf, pipe) != nullptr;
-  ::pclose(pipe);
-  std::string line = got ? buf : "";
-  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-    line.pop_back();
-  }
-  return line;
-}
-
-/// HEAD's short hash, suffixed "-dirty" when tracked files differ.
-std::string GitCommit() {
-  const std::string sha =
-      FirstLineOf("git rev-parse --short HEAD 2>/dev/null");
-  if (sha.empty()) return "unknown";
-  const bool dirty =
-      !FirstLineOf("git status --porcelain --untracked-files=no 2>/dev/null")
-           .empty();
-  return dirty ? sha + "-dirty" : sha;
-}
-
-std::string CpuModel() {
-  std::ifstream in("/proc/cpuinfo");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("model name", 0) == 0) {
-      const auto colon = line.find(':');
-      if (colon != std::string::npos) return line.substr(colon + 2);
-    }
-  }
-  return "unknown";
-}
 
 Cell Measure(int n, Shape shape) {
   storage::Catalog catalog;
@@ -204,7 +167,7 @@ Cell Measure(int n, Shape shape) {
 
 std::string ColumnJson(const std::vector<Cell>& cells) {
   std::ostringstream os;
-  os << "    {\n      \"git\": \"" << GitCommit()
+  os << "    {\n      \"git\": \"" << bench::GitCommit()
      << "\", \"build_type\": \""
      << MQPI_BENCH_BUILD_TYPE << "\", \"isa\": \""
      << pi::BatchEstimateKernel::ActiveIsaName() << "\",\n"
@@ -235,12 +198,6 @@ std::string ColumnJson(const std::vector<Cell>& cells) {
   return os.str();
 }
 
-bool WriteFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path);
-  out << text;
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -260,18 +217,9 @@ int main(int argc, char** argv) {
     }
   }
   std::string baseline_column;
-  if (!baseline.empty()) {
-    std::ifstream in(baseline);
-    if (!in) {
-      std::fprintf(stderr, "cannot read %s\n", baseline.c_str());
-      return 1;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    baseline_column = text.str();
-    while (!baseline_column.empty() && baseline_column.back() == '\n') {
-      baseline_column.pop_back();
-    }
+  if (!baseline.empty() && !bench::ReadColumn(baseline, &baseline_column)) {
+    std::fprintf(stderr, "cannot read %s\n", baseline.c_str());
+    return 1;
   }
 
   std::vector<Cell> cells;
@@ -299,15 +247,15 @@ int main(int argc, char** argv) {
 
   const std::string column = ColumnJson(cells);
   if (!column_out.empty()) {
-    return WriteFile(column_out, column + "\n") ? 0 : 1;
+    return bench::WriteFile(column_out, column + "\n") ? 0 : 1;
   }
   std::ostringstream json;
-  json << "{\n  \"bench\": \"quantum\",\n  \"cpu\": \"" << CpuModel()
+  json << "{\n  \"bench\": \"quantum\",\n  \"cpu\": \"" << bench::CpuModel()
        << "\",\n  \"processing_rate\": " << kRate
        << ", \"quantum_s\": " << kQuantum
        << ",\n  \"query_cost\": \"1000 + 3i U, i = 0..n-1\",\n"
        << "  \"columns\": [\n";
   if (!baseline_column.empty()) json << baseline_column << ",\n";
   json << column << "\n  ]\n}\n";
-  return WriteFile("BENCH_quantum.json", json.str()) ? 0 : 1;
+  return bench::WriteFile("BENCH_quantum.json", json.str()) ? 0 : 1;
 }

@@ -9,7 +9,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "common/random.h"
@@ -78,6 +80,67 @@ inline void PrintTable(const sim::SeriesTable& table) {
     std::printf("\n");
     table.PrintCsv();
   }
+}
+
+// ---- committed result columns (BENCH_*.json) --------------------------------
+//
+// A bench that commits its numbers writes one column per build: this
+// build's, preceded by a baseline column measured on an older checkout
+// (`--column-out FILE` there, `--baseline FILE` here).
+
+/// The first line `command` prints; empty when it prints nothing.
+inline std::string FirstLineOf(const char* command) {
+  std::FILE* pipe = ::popen(command, "r");
+  if (pipe == nullptr) return "";
+  char buf[256] = {};
+  const bool got = std::fgets(buf, sizeof buf, pipe) != nullptr;
+  ::pclose(pipe);
+  std::string line = got ? buf : "";
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+/// HEAD's short hash, suffixed "-dirty" when tracked files differ.
+inline std::string GitCommit() {
+  const std::string sha =
+      FirstLineOf("git rev-parse --short HEAD 2>/dev/null");
+  if (sha.empty()) return "unknown";
+  const bool dirty =
+      !FirstLineOf("git status --porcelain --untracked-files=no 2>/dev/null")
+           .empty();
+  return dirty ? sha + "-dirty" : sha;
+}
+
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const auto colon = line.find(':');
+      if (colon != std::string::npos) return line.substr(colon + 2);
+    }
+  }
+  return "unknown";
+}
+
+inline bool WriteFile(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  return static_cast<bool>(out);
+}
+
+/// A baseline column written by `--column-out`, trailing newlines
+/// trimmed; false when `path` cannot be read.
+inline bool ReadColumn(const std::string& path, std::string* column) {
+  std::ifstream in(path);
+  if (!in) return false;
+  std::ostringstream text;
+  text << in.rdbuf();
+  *column = text.str();
+  while (!column->empty() && column->back() == '\n') column->pop_back();
+  return true;
 }
 
 inline void Banner(const char* figure, const char* expectation) {

@@ -366,13 +366,13 @@ Status Client::Unsubscribe() {
 int LocalSubscriber::Pump(std::vector<std::uint64_t>* sequences,
                           bool* shed_out) {
   int applied = 0;
-  std::string bytes;
+  FrameBytes bytes;
   while (subscription_->TryPop(&bytes)) {
     Frame frame;
     std::size_t consumed = 0;
     Status error;
     const DecodeResult r =
-        TryDecodeFrame(bytes.data(), bytes.size(), kMaxPayloadBytes, &frame,
+        TryDecodeFrame(bytes->data(), bytes->size(), kMaxPayloadBytes, &frame,
                        &consumed, &error);
     if (r != DecodeResult::kFrame) continue;  // never expected; skip
     if (std::holds_alternative<ErrorReply>(frame.body)) {

@@ -13,8 +13,8 @@
 //
 //   LocalSubscriber — the no-socket endpoint the 100k-subscriber bench
 //   instantiates in bulk: wraps a SubscriberPool Subscription and
-//   applies its queued wire frames (byte-identical to what a TCP
-//   subscriber would receive) to a SnapshotView.
+//   applies its queued shared frames (the very bytes a TCP subscriber
+//   of the same stream receives) to a SnapshotView.
 #pragma once
 
 #include <cstdint>

@@ -1,10 +1,14 @@
 #include "net/conn.h"
 
 #include <errno.h>
+#include <limits.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <limits>
 #include <utility>
 
 namespace mqpi::net {
@@ -12,6 +16,8 @@ namespace {
 
 // One read chunk; frames larger than this simply take several reads.
 constexpr std::size_t kReadChunk = 64 * 1024;
+// Queued frames handed to one sendmsg.
+constexpr std::size_t kMaxIov = IOV_MAX;
 
 }  // namespace
 
@@ -54,7 +60,8 @@ bool Connection::ReadFrames(std::vector<Frame>* frames) {
       ErrorReply goodbye;
       goodbye.code = error.code();
       goodbye.message = std::string(error.message());
-      QueueFrame(EncodeFrame(frame.header.request_id, FrameBody{goodbye}));
+      QueueFrame(ShareFrame(
+          EncodeFrame(frame.header.request_id, FrameBody{goodbye})));
       closing_ = true;
       return true;
     }
@@ -71,25 +78,24 @@ bool Connection::ReadFrames(std::vector<Frame>* frames) {
   return true;
 }
 
-bool Connection::QueueFrame(std::string bytes) {
+bool Connection::QueueFrame(FrameBytes bytes) {
   if (closing_) return true;  // already saying goodbye; drop silently
   if (write_queue_.size() >= options_.write_queue_max_frames ||
-      queued_bytes_ + bytes.size() > options_.write_queue_max_bytes) {
+      queued_bytes_ + bytes->size() > options_.write_queue_max_bytes) {
     // Slow consumer: drop everything pending, say why, close.
-    queued_bytes_ = 0;
     write_queue_.clear();
     write_offset_ = 0;
     ErrorReply goodbye;
     goodbye.code = StatusCode::kResourceExhausted;
     goodbye.message = "write queue overflow: consumer too slow";
-    std::string frame = EncodeFrame(0, FrameBody{goodbye});
-    queued_bytes_ = frame.size();
+    FrameBytes frame = ShareFrame(EncodeFrame(0, FrameBody{goodbye}));
+    queued_bytes_ = frame->size();
     write_queue_.push_back(std::move(frame));
     closing_ = true;
     shed_ = true;
     return false;
   }
-  queued_bytes_ += bytes.size();
+  queued_bytes_ += bytes->size();
   write_queue_.push_back(std::move(bytes));
   stats.queue_hw_frames =
       std::max<std::uint64_t>(stats.queue_hw_frames, write_queue_.size());
@@ -99,26 +105,45 @@ bool Connection::QueueFrame(std::string bytes) {
 }
 
 bool Connection::FlushWrites(std::size_t max_write_bytes) {
-  std::size_t written_this_round = 0;
-  while (!write_queue_.empty()) {
-    const std::string& front = write_queue_.front();
-    std::size_t want = front.size() - write_offset_;
-    if (max_write_bytes > 0) {
-      if (written_this_round >= max_write_bytes) return true;
-      want = std::min(want, max_write_bytes - written_this_round);
+  std::size_t budget = max_write_bytes > 0
+                           ? max_write_bytes
+                           : std::numeric_limits<std::size_t>::max();
+  std::array<iovec, kMaxIov> iov;
+  while (!write_queue_.empty() && budget > 0) {
+    // Gather the queue's head (the front frame from the partial-write
+    // cursor) up to the byte budget.
+    std::size_t count = 0;
+    std::size_t want = 0;
+    std::size_t offset = write_offset_;
+    for (auto it = write_queue_.begin();
+         it != write_queue_.end() && count < kMaxIov && want < budget;
+         ++it, offset = 0) {
+      const std::string& frame = **it;
+      const std::size_t len = std::min(frame.size() - offset, budget - want);
+      iov[count++] = {const_cast<char*>(frame.data()) + offset, len};
+      want += len;
     }
-    const ssize_t n =
-        ::send(fd_, front.data() + write_offset_, want, MSG_NOSIGNAL);
+    msghdr msg{};
+    msg.msg_iov = iov.data();
+    msg.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
       if (errno == EINTR) continue;
       return false;  // fatal (EPIPE, ECONNRESET, ...)
     }
-    written_this_round += static_cast<std::size_t>(n);
-    write_offset_ += static_cast<std::size_t>(n);
-    queued_bytes_ -= static_cast<std::size_t>(n);
-    stats.bytes_sent += static_cast<std::uint64_t>(n);
-    if (write_offset_ == front.size()) {
+    auto sent = static_cast<std::size_t>(n);
+    budget -= sent;
+    queued_bytes_ -= sent;
+    stats.bytes_sent += sent;
+    // Advance the cursor over the bytes the socket took.
+    while (sent > 0) {
+      const std::size_t left = write_queue_.front()->size() - write_offset_;
+      if (sent < left) {
+        write_offset_ += sent;
+        break;
+      }
+      sent -= left;
       write_queue_.pop_front();
       write_offset_ = 0;
       ++stats.frames_sent;

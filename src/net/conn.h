@@ -11,16 +11,18 @@
 //
 // Write side: a bounded queue of encoded frames with a byte budget and
 // a partial-write cursor (a frame can take several EPOLLOUT rounds to
-// drain — kNetPartialWrite exercises exactly that). Overflow is the
-// slow-consumer shedding path: the queue is dropped, one
-// kResourceExhausted ERROR frame is queued as the goodbye, and the
-// connection closes once it drains (or immediately if even that can't
-// be written).
+// drain — kNetPartialWrite exercises exactly that). Queued frames are
+// shared bytes, so a snapshot push is one pointer to the frame every
+// subscriber of the stream shares; a flush hands up to IOV_MAX of them
+// to one sendmsg. Overflow is the slow-consumer shedding path: the
+// queue is dropped, one kResourceExhausted ERROR frame is queued as the
+// goodbye, and the connection closes once it drains (or immediately if
+// even that can't be written).
 //
-// Subscription state: a subscribed connection carries its own
-// DeltaEncoder; the epoll loop encodes per-connection deltas on each
-// fan-out wakeup (all per-subscriber work stays on the loop thread,
-// never the ticker).
+// Subscription state: a subscribed connection carries only a cursor,
+// the last sequence pushed; on each fan-out wakeup the epoll loop asks
+// the connection's stream for SnapshotFanout::FrameFor(cursor) (all
+// per-subscriber work stays on the loop thread, never the ticker).
 #pragma once
 
 #include <cstdint>
@@ -64,11 +66,12 @@ class Connection {
   /// Queues an encoded frame. Returns false when this call overflowed
   /// the bounded queue and shed the connection (goodbye ERROR frame
   /// queued, closing() set).
-  bool QueueFrame(std::string bytes);
+  bool QueueFrame(FrameBytes bytes);
 
-  /// Flushes as much of the write queue as the socket accepts.
-  /// `max_write_bytes` > 0 caps this round's total written bytes (the
-  /// kNetPartialWrite lever). Returns false on a fatal write error.
+  /// Flushes as much of the write queue as the socket accepts, up to
+  /// IOV_MAX frames per sendmsg. `max_write_bytes` > 0 caps this
+  /// round's total written bytes (the kNetPartialWrite lever). Returns
+  /// false on a fatal write error.
   bool FlushWrites(std::size_t max_write_bytes = 0);
 
   bool wants_write() const { return !write_queue_.empty(); }
@@ -86,12 +89,11 @@ class Connection {
   /// Stream scope: -1 = the merged/global stream, >= 0 = that shard's
   /// own publication (see SubscribeRequest::shard).
   int subscribe_shard = -1;
-  DeltaEncoder delta;
   /// Chaos (kNetSlowConsumer): skip this many flush opportunities so
   /// the bounded write queue backs up and sheds.
   int stall_flushes = 0;
-  /// Sequence of the last snapshot pushed (coalescing cursor: spurious
-  /// fan-out wakeups never re-send an already-delivered sequence).
+  /// Sequence of the last snapshot pushed: the FrameFor cursor (0 =
+  /// none yet; spurious fan-out wakeups never re-send a sequence).
   std::uint64_t pushed_sequence = 0;
 
   /// Lifetime transfer stats, maintained here (frames/bytes/high-water
@@ -116,7 +118,7 @@ class Connection {
   std::string read_buf_;
   std::size_t read_pos_ = 0;  // consumed prefix of read_buf_
 
-  std::deque<std::string> write_queue_;
+  std::deque<FrameBytes> write_queue_;
   std::size_t queued_bytes_ = 0;
   std::size_t write_offset_ = 0;  // partial-write cursor, front frame
   bool closing_ = false;

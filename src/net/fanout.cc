@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
+#include <utility>
 
 #include "fault/fault_injector.h"
 #include "net/wire.h"
@@ -24,6 +26,59 @@ bool BitsDiffer(double a, double b) {
   return ua != ub;
 }
 
+// The one encode behind DeltaEncoder::Encode and the hub's shared
+// frames: SNAPSHOT_FULL when `base` is null, else the SNAPSHOT_DELTA
+// from `base` to `next`. Adds the rows sent and elided to the counts.
+std::string EncodeSnapshot(const service::ProgressSnapshot* base,
+                           const service::ProgressSnapshot& next,
+                           std::uint64_t* rows_sent,
+                           std::uint64_t* rows_skipped) {
+  MQPI_PROF_SITE(prof, "net.delta_encode");
+  SnapshotFrame frame;
+  frame.sequence = next.sequence;
+  frame.sim_time = next.sim_time;
+  frame.num_running = next.num_running;
+  frame.num_queued = next.num_queued;
+  frame.num_blocked = next.num_blocked;
+  frame.measured_rate = next.measured_rate;
+  frame.quiescent_eta = next.quiescent_eta;
+  frame.age_quanta = next.age_quanta;
+  frame.degraded = next.degraded;
+  frame.total_rows = static_cast<std::uint32_t>(next.queries.size());
+  // Shard loads ride every frame whole: N entries is noise next to the
+  // row set, and deltas stay self-contained.
+  frame.shard_loads = next.shard_loads;
+
+  if (base == nullptr) {
+    frame.rows = next.queries;
+  } else {
+    // Both row sets are sorted by id: one merge-walk finds the changed
+    // and new rows, and the ids that left (reaped terminal queries).
+    const auto& old_rows = base->queries;
+    std::size_t oi = 0;
+    for (const auto& row : next.queries) {
+      while (oi < old_rows.size() && old_rows[oi].id < row.id) {
+        frame.removed.push_back(old_rows[oi++].id);
+      }
+      if (oi < old_rows.size() && old_rows[oi].id == row.id) {
+        if (DeltaEncoder::RowChanged(old_rows[oi], row)) {
+          frame.rows.push_back(row);
+        } else {
+          ++*rows_skipped;
+        }
+        ++oi;
+      } else {
+        frame.rows.push_back(row);  // new query
+      }
+    }
+    for (; oi < old_rows.size(); ++oi) frame.removed.push_back(old_rows[oi].id);
+    frame.base_sequence = base->sequence;
+  }
+  *rows_sent += frame.rows.size();
+  return EncodeFrame(/*request_id=*/0, FrameBody(std::move(frame)),
+                     /*full_snapshot=*/base == nullptr);
+}
+
 }  // namespace
 
 NetMetrics::NetMetrics(service::MetricsRegistry* registry) {
@@ -42,6 +97,8 @@ NetMetrics::NetMetrics(service::MetricsRegistry* registry) {
   accept_failures = registry->counter("net.accept_failures");
   conns_dropped = registry->counter("net.conns_dropped");
   publish_wakeups = registry->counter("net.publish_wakeups");
+  frames_encoded = registry->counter("net.frames_encoded");
+  snapshot_rows = registry->gauge("net.snapshot_rows");
   connections = registry->gauge("net.connections");
   subscriptions = registry->gauge("net.subscriptions");
   // Latency lives in nanoseconds (1us .. 1s); the default ms-oriented
@@ -64,6 +121,12 @@ void NetMetrics::ObservePublishToWrite(const SnapshotFanout& fanout,
   }
 }
 
+void NetMetrics::CountSnapshotFrame(const SharedFrame& frame) {
+  (frame.full ? full_frames : delta_frames)->Increment();
+  delta_rows_sent->Increment(frame.rows_sent);
+  delta_rows_skipped->Increment(frame.rows_skipped);
+}
+
 // ---- SnapshotFanout ---------------------------------------------------------
 
 SnapshotFanout::SnapshotFanout() {
@@ -83,7 +146,7 @@ void SnapshotFanout::Publish(service::SnapshotPtr snapshot) {
   std::uint64_t ops = 1;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    latest_ = std::move(snapshot);
+    previous_ = std::exchange(latest_, std::move(snapshot));
     epoch_.fetch_add(1, std::memory_order_acq_rel);
     // Signal under mu_: UnregisterWaker serializes on the same mutex,
     // so a waker is never signaled after unregistration returns. The
@@ -102,6 +165,42 @@ service::SnapshotPtr SnapshotFanout::Latest(std::uint64_t* epoch) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (epoch != nullptr) *epoch = epoch_.load(std::memory_order_acquire);
   return latest_;
+}
+
+SharedFrame SnapshotFanout::FrameFor(std::uint64_t have_sequence,
+                                     NetMetrics* metrics) {
+  // The hub is read under frames_mu_ too, so callers see publishes in
+  // order and the cache only moves forward: each frame is encoded once.
+  std::lock_guard<std::mutex> frames_lock(frames_mu_);
+  service::SnapshotPtr latest;
+  service::SnapshotPtr previous;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    latest = latest_;
+    previous = previous_;
+  }
+  if (latest == nullptr) return {};
+  if (frames_.latest != latest || frames_.previous != previous) {
+    frames_ = FrameCache{std::move(latest), std::move(previous), {}, {}};
+  }
+  const service::ProgressSnapshot& next = *frames_.latest;
+  const service::ProgressSnapshot* base = frames_.previous.get();
+  const bool delta = have_sequence != 0 && base != nullptr &&
+                     have_sequence == base->sequence &&
+                     base->sequence < next.sequence;
+  SharedFrame& frame = delta ? frames_.delta : frames_.full;
+  if (frame.bytes == nullptr) {
+    frame.sequence = next.sequence;
+    frame.full = !delta;
+    frame.bytes =
+        ShareFrame(EncodeSnapshot(delta ? base : nullptr, next,
+                                  &frame.rows_sent, &frame.rows_skipped));
+    if (metrics != nullptr) {
+      metrics->frames_encoded->Increment();
+      metrics->snapshot_rows->Set(static_cast<double>(next.queries.size()));
+    }
+  }
+  return frame;
 }
 
 void SnapshotFanout::RegisterWaker(Waker* waker) {
@@ -145,72 +244,21 @@ bool DeltaEncoder::RowChanged(const service::QueryProgress& a,
 
 std::string DeltaEncoder::Encode(const service::SnapshotPtr& next,
                                  bool* is_full) {
-  MQPI_PROF_SITE(prof, "net.delta_encode");
-  SnapshotFrame frame;
-  frame.sequence = next->sequence;
-  frame.sim_time = next->sim_time;
-  frame.num_running = next->num_running;
-  frame.num_queued = next->num_queued;
-  frame.num_blocked = next->num_blocked;
-  frame.measured_rate = next->measured_rate;
-  frame.quiescent_eta = next->quiescent_eta;
-  frame.age_quanta = next->age_quanta;
-  frame.degraded = next->degraded;
-  frame.total_rows = static_cast<std::uint32_t>(next->queries.size());
-  // Shard loads ride every frame whole: N entries is noise next to the
-  // row set, and deltas stay self-contained.
-  frame.shard_loads = next->shard_loads;
-
   const bool full = last_ == nullptr;
-  std::uint64_t skipped = 0;
-  if (!full) {
-    // Both row sets are sorted by id: one merge-walk finds the changed
-    // and new rows, and the ids that left (reaped terminal queries).
-    const auto& old_rows = last_->queries;
-    const auto& new_rows = next->queries;
-    std::size_t oi = 0;
-    for (const auto& row : new_rows) {
-      while (oi < old_rows.size() && old_rows[oi].id < row.id) {
-        frame.removed.push_back(old_rows[oi++].id);
-      }
-      if (oi < old_rows.size() && old_rows[oi].id == row.id) {
-        if (RowChanged(old_rows[oi], row)) {
-          frame.rows.push_back(row);
-        } else {
-          ++skipped;
-        }
-        ++oi;
-      } else {
-        frame.rows.push_back(row);  // new query
-      }
-    }
-    for (; oi < old_rows.size(); ++oi) frame.removed.push_back(old_rows[oi].id);
-    frame.base_sequence = last_->sequence;
-  }
-  if (full) {
-    frame.rows = next->queries;
-    ++stats_.fulls;
-  } else {
-    ++stats_.deltas;
-    stats_.rows_skipped += skipped;  // a full frame elides nothing
-  }
-  stats_.rows_sent += frame.rows.size();
+  std::string bytes =
+      EncodeSnapshot(last_.get(), *next, &stats_.rows_sent,
+                     &stats_.rows_skipped);
+  ++(full ? stats_.fulls : stats_.deltas);
   last_ = next;
   if (is_full != nullptr) *is_full = full;
-  return EncodeFrame(/*request_id=*/0, FrameBody(std::move(frame)), full);
+  return bytes;
 }
 
 // ---- Subscription -----------------------------------------------------------
 
-bool Subscription::Deliver(const service::SnapshotPtr& snapshot,
-                           NetMetrics* metrics) {
+bool Subscription::Deliver(const SharedFrame& frame, NetMetrics* metrics) {
   if (shed() || cancelled()) return false;
-  bool full = false;
-  // The encoder is only ever touched by this subscription's one pool
-  // worker; no lock needed around it.
-  const DeltaEncoder::Stats before = encoder_.stats();
-  std::string frame = encoder_.Encode(snapshot, &full);
-  const std::size_t bytes = frame.size();
+  const std::size_t bytes = frame.bytes->size();
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (queue_.size() + 1 > options_.max_queued_frames ||
@@ -223,28 +271,24 @@ bool Subscription::Deliver(const service::SnapshotPtr& snapshot,
       error.code = StatusCode::kResourceExhausted;
       error.message = "subscription shed: write queue overflow "
                       "(slow consumer)";
-      queue_.push_back(EncodeFrame(0, FrameBody(std::move(error))));
+      queue_.push_back(ShareFrame(EncodeFrame(0, FrameBody(std::move(error)))));
       shed_.store(true, std::memory_order_release);
       if (metrics != nullptr) metrics->slow_consumers_shed->Increment();
       return false;
     }
     queued_bytes_ += bytes;
-    queue_.push_back(std::move(frame));
+    queue_.push_back(frame.bytes);
   }
-  delivered_sequence_.store(snapshot->sequence, std::memory_order_relaxed);
+  delivered_sequence_.store(frame.sequence, std::memory_order_relaxed);
   if (metrics != nullptr) {
     metrics->frames_sent->Increment();
     metrics->bytes_sent->Increment(bytes);
-    (full ? metrics->full_frames : metrics->delta_frames)->Increment();
-    const DeltaEncoder::Stats& after = encoder_.stats();
-    metrics->delta_rows_sent->Increment(after.rows_sent - before.rows_sent);
-    metrics->delta_rows_skipped->Increment(after.rows_skipped -
-                                           before.rows_skipped);
+    metrics->CountSnapshotFrame(frame);
   }
   return true;
 }
 
-bool Subscription::TryPop(std::string* frame) {
+bool Subscription::TryPop(FrameBytes* frame) {
   int stalled = stalled_pops_.load(std::memory_order_relaxed);
   while (stalled > 0) {
     if (stalled_pops_.compare_exchange_weak(stalled, stalled - 1,
@@ -256,7 +300,7 @@ bool Subscription::TryPop(std::string* frame) {
   if (queue_.empty()) return false;
   *frame = std::move(queue_.front());
   queue_.pop_front();
-  queued_bytes_ -= frame->size();
+  queued_bytes_ -= (*frame)->size();
   return true;
 }
 
@@ -336,10 +380,12 @@ void SubscriberPool::Stop() {
 
 std::shared_ptr<Subscription> SubscriberPool::Subscribe() {
   auto subscription = std::make_shared<Subscription>(options_.subscription);
-  // Seed the subscriber with the current snapshot (full frame) before
-  // it joins a shard, so it has data even if no publish ever comes.
-  if (auto latest = fanout_->Latest(); latest != nullptr) {
-    subscription->Deliver(latest, metrics_);
+  // Seed the subscriber with the shared full frame of the current
+  // snapshot before it joins a shard, so it has data even if no
+  // publish ever comes.
+  if (const SharedFrame full = fanout_->FrameFor(0, metrics_);
+      full.bytes != nullptr) {
+    subscription->Deliver(full, metrics_);
   }
   const std::size_t shard_index =
       next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
@@ -403,8 +449,8 @@ void SubscriberPool::WorkerLoop(int worker_index) {
 void SubscriberPool::SweepShard(Shard* shard,
                                 const service::SnapshotPtr& snapshot) {
   obs::TraceSpan span(tracer_, "net", "fanout_sweep");
-  // Copy the roster so delivery (delta encode per subscriber) runs
-  // without the shard lock; subscribe/unsubscribe stay cheap.
+  // Copy the roster so delivery runs without the shard lock;
+  // subscribe/unsubscribe stay cheap.
   std::vector<std::shared_ptr<Subscription>> roster;
   {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -430,17 +476,26 @@ void SubscriberPool::SweepShard(Shard* shard,
     }
   }
 
+  // Subscribers that kept up share one cursor, so one FrameFor call
+  // (one hub lock) serves the whole run of them.
+  std::uint64_t frame_have = 0;
+  SharedFrame frame;
   bool any_dead = false;
   for (const auto& subscription : roster) {
     if (subscription->cancelled() || subscription->shed()) {
       any_dead = true;
       continue;
     }
-    if (subscription->delivered_sequence() >= snapshot->sequence) continue;
-    if (!subscription->Deliver(snapshot, metrics_)) {
+    const std::uint64_t have = subscription->delivered_sequence();
+    if (have >= snapshot->sequence) continue;
+    if (frame.bytes == nullptr || have != frame_have) {
+      frame = fanout_->FrameFor(have, metrics_);
+      frame_have = have;
+    }
+    if (!subscription->Deliver(frame, metrics_)) {
       any_dead = true;
     } else {
-      metrics_->ObservePublishToWrite(*fanout_, snapshot->sequence);
+      metrics_->ObservePublishToWrite(*fanout_, frame.sequence);
     }
   }
   if (!any_dead) return;

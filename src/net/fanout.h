@@ -15,21 +15,31 @@
 //   `publish_ops()` counts the exact work per publish so the perfsmoke
 //   gate can assert O(1)-in-subscribers by measurement.
 //
-//   DeltaEncoder — per-subscriber differ. Remembers the last snapshot
-//   it encoded for its subscriber and emits either a SNAPSHOT_FULL
-//   frame (first contact) or a SNAPSHOT_DELTA containing only rows
-//   that changed (state/priority/weight/degraded/queue position, or
-//   any estimate field, compared bitwise) plus the ids of rows that
-//   left (terminal queries reaped after the retention window).
-//   Snapshots are sorted by query id, so the diff is one linear
-//   merge-walk. Coalescing falls out naturally: encoding against
-//   "latest" after missing k intermediate snapshots produces one delta
-//   with the net change.
+//   Shared frames — the hub also keeps the snapshot published before
+//   `Latest()`, and `FrameFor(have_sequence)` hands a subscriber the
+//   wire frame that brings it up to `Latest()`: the SNAPSHOT_DELTA
+//   against that previous snapshot when the subscriber holds it, the
+//   SNAPSHOT_FULL otherwise (first contact, or lagging by more than
+//   one publish). Each kind is encoded at most once per published
+//   sequence, by the first consumer thread that asks, under a cache
+//   mutex the publisher never takes; every subscriber then queues the
+//   same immutable ref-counted bytes. Per-subscriber state is just a
+//   cursor (the last sequence delivered), so fan-out memory and CPU
+//   follow the frame, not subscribers x frame.
 //
-//   Subscription — one in-process subscriber endpoint: a DeltaEncoder
-//   plus a bounded frame queue (frames × bytes caps). The producer
-//   side (a SubscriberPool worker) encodes and enqueues; the consumer
-//   side pops encoded wire frames. Overflow = slow consumer: the
+//   DeltaEncoder — the differ behind those frames, also usable on its
+//   own. Remembers the last snapshot it encoded and emits either a
+//   SNAPSHOT_FULL frame (first contact) or a SNAPSHOT_DELTA containing
+//   only rows that changed (state/priority/weight/degraded/queue
+//   position, or any estimate field, compared bitwise) plus the ids of
+//   rows that left (terminal queries reaped after the retention
+//   window). Snapshots are sorted by query id, so the diff is one
+//   linear merge-walk.
+//
+//   Subscription — one in-process subscriber endpoint: a delivery
+//   cursor plus a bounded queue of shared frames (frames x bytes
+//   caps). The producer side (a SubscriberPool worker) enqueues; the
+//   consumer side pops the shared bytes. Overflow = slow consumer: the
 //   queue is cleared, a Status-coded ERROR frame (kResourceExhausted)
 //   is left as the final message, and the subscription is shed —
 //   exactly the PR 4 bounded-queue shedding discipline at the network
@@ -38,11 +48,11 @@
 //   SubscriberPool — worker threads fanning published snapshots out to
 //   sharded Subscription sets. Registers ONE waker with the fanout;
 //   each worker wakes on publish, reads `Latest()` once, and walks its
-//   shards encoding per-subscriber deltas. All per-subscriber work
-//   happens here, off the ticker thread.
+//   shards queueing the shared frame each subscriber needs. All
+//   per-subscriber work happens here, off the ticker thread.
 //
-// TCP connections use the same SnapshotFanout + DeltaEncoder but skip
-// Subscription/SubscriberPool: their per-connection writer state lives
+// TCP connections use the same SnapshotFanout and shared frames but
+// skip Subscription/SubscriberPool: their cursor and write queue live
 // in the epoll loop (see net/conn.h / net/server.h).
 #pragma once
 
@@ -55,6 +65,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "service/metrics.h"
@@ -70,6 +81,25 @@ class Tracer;
 namespace mqpi::net {
 
 class SnapshotFanout;
+
+/// Encoded wire bytes shared by every queue that holds them.
+using FrameBytes = std::shared_ptr<const std::string>;
+
+/// Wraps freshly encoded bytes (a reply, an error goodbye) for a queue.
+inline FrameBytes ShareFrame(std::string bytes) {
+  return std::make_shared<const std::string>(std::move(bytes));
+}
+
+/// One snapshot frame as SnapshotFanout::FrameFor hands it out: the
+/// shared bytes plus what they carry. `bytes` is null before the first
+/// publish.
+struct SharedFrame {
+  FrameBytes bytes;
+  std::uint64_t sequence = 0;
+  bool full = false;
+  std::uint64_t rows_sent = 0;
+  std::uint64_t rows_skipped = 0;  // unchanged rows a delta elides
+};
 
 /// The net layer's instruments, resolved once against the service's
 /// MetricsRegistry (all names pass the `lint` label check). Shared by
@@ -90,6 +120,13 @@ struct NetMetrics {
   service::Counter* accept_failures = nullptr;
   service::Counter* conns_dropped = nullptr;
   service::Counter* publish_wakeups = nullptr;
+  /// Frames the hubs' shared caches encoded (at most one delta and one
+  /// full frame per published sequence and stream), and the rows of
+  /// the snapshot behind the latest one: the retained-state gauge of
+  /// the fan-out. Both move on the encoding consumer thread, never in
+  /// Publish.
+  service::Counter* frames_encoded = nullptr;
+  service::Gauge* snapshot_rows = nullptr;
   /// Live counts, moved by concurrent Add(+-1) from the loop and the
   /// subscriber pools; /statusz and STATS read them too.
   service::Gauge* connections = nullptr;
@@ -102,6 +139,9 @@ struct NetMetrics {
   /// publish stamp; no-op when the stamp was evicted from the ring.
   void ObservePublishToWrite(const SnapshotFanout& fanout,
                              std::uint64_t sequence);
+  /// Counts one delivery of a snapshot frame: the full/delta split and
+  /// the frame's rows sent and elided.
+  void CountSnapshotFrame(const SharedFrame& frame);
 
   explicit NetMetrics(service::MetricsRegistry* registry);
 };
@@ -129,6 +169,15 @@ class SnapshotFanout {
   /// and, optionally, the current epoch.
   service::SnapshotPtr Latest(std::uint64_t* epoch = nullptr) const;
 
+  /// The frame that brings a subscriber holding `have_sequence` (0 =
+  /// nothing yet) up to Latest(): the SNAPSHOT_DELTA against the
+  /// previously published snapshot when `have_sequence` is its
+  /// sequence, the SNAPSHOT_FULL otherwise. The first caller per
+  /// sequence and kind encodes it (counted in `metrics`, optional);
+  /// later callers share the bytes. Never called from Publish.
+  SharedFrame FrameFor(std::uint64_t have_sequence,
+                       NetMetrics* metrics = nullptr);
+
   std::uint64_t epoch() const {
     return epoch_.load(std::memory_order_acquire);
   }
@@ -155,9 +204,24 @@ class SnapshotFanout {
  private:
   static constexpr std::size_t kStampRing = 4096;
 
-  mutable std::mutex mu_;  // guards latest_ + wakers_, pointer ops only
+  // Guards latest_, previous_ and wakers_; pointer ops only.
+  mutable std::mutex mu_;
   service::SnapshotPtr latest_;
+  service::SnapshotPtr previous_;  // published just before latest_
   std::vector<Waker*> wakers_;
+  /// The frames encoded for one (latest, previous) pair; replaced as a
+  /// whole once FrameFor sees a newer publish. Holding `previous` here
+  /// means the snapshot Publish drops from previous_ is freed by this
+  /// replacement, on a consumer thread, not on the ticker.
+  struct FrameCache {
+    service::SnapshotPtr latest;
+    service::SnapshotPtr previous;
+    SharedFrame full;
+    SharedFrame delta;
+  };
+  // Guards frames_; taken before mu_, and never by Publish.
+  std::mutex frames_mu_;
+  FrameCache frames_;
   std::atomic<std::uint64_t> epoch_{0};
   std::atomic<std::uint64_t> publishes_{0};
   std::atomic<std::uint64_t> publish_ops_{0};
@@ -166,7 +230,7 @@ class SnapshotFanout {
   std::array<std::atomic<std::int64_t>, kStampRing> stamp_ns_;
 };
 
-// ---- per-subscriber delta encoding ------------------------------------------
+// ---- delta encoding ---------------------------------------------------------
 
 class DeltaEncoder {
  public:
@@ -177,11 +241,11 @@ class DeltaEncoder {
     std::uint64_t rows_skipped = 0;  // unchanged rows elided from deltas
   };
 
-  /// Encodes `next` as a wire frame for this subscriber: SNAPSHOT_FULL
-  /// on first contact (or after Reset), SNAPSHOT_DELTA with only the
-  /// changed rows and the removed ids afterwards. Returns the encoded
-  /// frame; `*is_full` (optional) reports which. Never returns an
-  /// empty string: an unchanged-rows publish still yields a
+  /// Encodes `next` as a wire frame against the last snapshot encoded:
+  /// SNAPSHOT_FULL on first contact (or after Reset), SNAPSHOT_DELTA
+  /// with only the changed rows and the removed ids afterwards. Returns
+  /// the encoded frame; `*is_full` (optional) reports which. Never
+  /// returns an empty string: an unchanged-rows publish still yields a
   /// header-only delta so the subscriber's sequence stays fresh.
   std::string Encode(const service::SnapshotPtr& next,
                      bool* is_full = nullptr);
@@ -213,15 +277,16 @@ class Subscription {
 
   explicit Subscription(Options options) : options_(options) {}
 
-  /// Producer side (pool worker): encode `snapshot` and enqueue the
-  /// frame. Returns false when this call shed the subscription
+  /// Producer side (pool worker): enqueue `frame`, the hub's
+  /// FrameFor(delivered_sequence()), and advance the cursor to its
+  /// sequence. Returns false when this call shed the subscription
   /// (bounded-queue overflow); the queue then holds a single ERROR
   /// frame and the subscription is dead.
-  bool Deliver(const service::SnapshotPtr& snapshot, NetMetrics* metrics);
+  bool Deliver(const SharedFrame& frame, NetMetrics* metrics);
 
-  /// Consumer side: pops the next encoded wire frame; false when the
-  /// queue is empty.
-  bool TryPop(std::string* frame);
+  /// Consumer side: pops the next wire frame (shared, not copied);
+  /// false when the queue is empty.
+  bool TryPop(FrameBytes* frame);
 
   bool shed() const { return shed_.load(std::memory_order_acquire); }
   /// Marks the subscription dead without an error frame (unsubscribe,
@@ -239,7 +304,8 @@ class Subscription {
   /// error frame has been consumed).
   bool Drained() const;
 
-  /// Epoch of the last snapshot delivered (coalescing cursor).
+  /// Sequence of the last snapshot delivered: the cursor FrameFor
+  /// reads (0 before the first delivery).
   std::uint64_t delivered_sequence() const {
     return delivered_sequence_.load(std::memory_order_relaxed);
   }
@@ -247,9 +313,8 @@ class Subscription {
  private:
   const Options options_;
   mutable std::mutex mu_;
-  std::deque<std::string> queue_;
+  std::deque<FrameBytes> queue_;
   std::size_t queued_bytes_ = 0;
-  DeltaEncoder encoder_;  // producer-side only (one pool worker)
   std::atomic<std::uint64_t> delivered_sequence_{0};
   std::atomic<bool> shed_{false};
   std::atomic<bool> cancelled_{false};
@@ -310,8 +375,8 @@ class SubscriberPool {
   };
 
   void WorkerLoop(int worker_index);
-  /// One pass over this worker's shard: deliver the latest snapshot to
-  /// every live subscription that has not seen it yet.
+  /// One pass over this worker's shard: queue the shared frame for the
+  /// latest snapshot on every live subscription that has not seen it.
   void SweepShard(Shard* shard, const service::SnapshotPtr& snapshot);
 
   SnapshotFanout* const fanout_;

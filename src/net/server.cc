@@ -273,8 +273,8 @@ void PiServer::LoopThread() {
       DrainOnLoop();
     }
     // Coalesced push: however many publishes landed, merge once (the
-    // coordinator quantum — sharded only) and encode once per stream
-    // against its latest snapshot.
+    // coordinator quantum — sharded only) and queue each stream's
+    // shared frame for its latest snapshot.
     if (snapshot_wake || PushPending()) {
       MaybePublishMerged();
       PushSnapshots();
@@ -588,31 +588,20 @@ void PiServer::HandleSubscribe(Connection* conn, const Frame& frame) {
   if (scope < 0 || coordinator_ == nullptr) scope = -1;
   if (!conn->subscribed) {
     conn->subscribed = true;
-    conn->delta.Reset();
-    conn->pushed_sequence = 0;
     metrics_->subscriptions->Add(1);
-  } else if (conn->subscribe_shard != scope) {
-    // Re-scoping resets the stream: the delta chain restarts from a
-    // full frame of the new scope.
-    conn->delta.Reset();
-    conn->pushed_sequence = 0;
   }
   conn->subscribe_shard = scope;
 
   SnapshotFanout* source =
       scope >= 0 ? shard_fanouts_[std::size_t(scope)].get() : &fanout_;
+  // Immediate full frame so the subscriber has a base to patch; a
+  // re-scoped stream restarts from the new scope's full frame.
+  const SharedFrame full = source->FrameFor(0, metrics_.get());
+  conn->pushed_sequence = 0;
   SubscribeReply reply;
-  const service::SnapshotPtr latest = source->Latest();
-  reply.sequence = latest ? latest->sequence : 0;
+  reply.sequence = full.sequence;
   QueueOnConn(conn, EncodeFrame(frame.header.request_id, FrameBody{reply}));
-  // Immediate full frame so the subscriber has a base to patch.
-  if (latest != nullptr) {
-    std::string push = conn->delta.Encode(latest);
-    metrics_->full_frames->Increment();
-    ++conn->stats.full_frames;
-    conn->pushed_sequence = latest->sequence;
-    QueueOnConn(conn, std::move(push));
-  }
+  if (full.bytes != nullptr) PushOnConn(conn, full);
 }
 
 void PiServer::PushSnapshots() {
@@ -647,24 +636,21 @@ void PiServer::PushSnapshots() {
     if (latest == nullptr) continue;
     if (conn->pushed_sequence >= latest->sequence) continue;
     // Publishes the loop slept through surface as sequence gaps: the
-    // delta encoder folds them into one patch, but the recorder keeps
-    // the evidence that this consumer skipped snapshots.
+    // consumer catches up on the stream's shared full frame, but the
+    // recorder keeps the evidence that it skipped snapshots.
     if (conn->pushed_sequence != 0) {
       flight->ObserveGap("net", "conn_push", conn->pushed_sequence + 1,
                          latest->sequence);
     }
-    bool is_full = false;
-    std::string frame = conn->delta.Encode(latest, &is_full);
-    conn->pushed_sequence = latest->sequence;
-    (is_full ? metrics_->full_frames : metrics_->delta_frames)->Increment();
-    ++(is_full ? conn->stats.full_frames : conn->stats.delta_frames);
-    if (!QueueOnConn(conn.get(), std::move(frame))) {
+    const SharedFrame frame =
+        source->FrameFor(conn->pushed_sequence, metrics_.get());
+    if (!PushOnConn(conn.get(), frame)) {
       metrics_->slow_consumers_shed->Increment();
       flight->Record(obs::FlightEventKind::kShed, "net", "consumer_shed",
-                     static_cast<double>(id), latest->sequence);
+                     static_cast<double>(id), frame.sequence);
       flight->Trigger("consumer_shed");
     }
-    metrics_->ObservePublishToWrite(*source, latest->sequence);
+    metrics_->ObservePublishToWrite(*source, frame.sequence);
     FlushConnection(conn.get());
     if (conn->closing() && !conn->wants_write()) {
       done.push_back(id);
@@ -678,9 +664,20 @@ void PiServer::PushSnapshots() {
 }
 
 bool PiServer::QueueOnConn(Connection* conn, std::string frame) {
+  return QueueOnConn(conn, ShareFrame(std::move(frame)));
+}
+
+bool PiServer::QueueOnConn(Connection* conn, FrameBytes frame) {
   metrics_->frames_sent->Increment();
-  metrics_->bytes_sent->Increment(frame.size());
+  metrics_->bytes_sent->Increment(frame->size());
   return conn->QueueFrame(std::move(frame));
+}
+
+bool PiServer::PushOnConn(Connection* conn, const SharedFrame& frame) {
+  conn->pushed_sequence = frame.sequence;
+  metrics_->CountSnapshotFrame(frame);
+  ++(frame.full ? conn->stats.full_frames : conn->stats.delta_frames);
+  return QueueOnConn(conn, frame.bytes);
 }
 
 void PiServer::FlushConnection(Connection* conn) {
@@ -755,7 +752,7 @@ void PiServer::DrainOnLoop() {
   ErrorReply goodbye;
   goodbye.code = StatusCode::kUnavailable;
   goodbye.message = "server draining; stream closed";
-  const std::string frame = EncodeFrame(0, FrameBody{goodbye});
+  const FrameBytes frame = ShareFrame(EncodeFrame(0, FrameBody{goodbye}));
   std::vector<std::uint64_t> done;
   for (auto& [id, conn] : conns_) {
     if (!conn->subscribed || conn->closing()) continue;

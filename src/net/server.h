@@ -4,14 +4,15 @@
 //
 // Threading model:
 //   - ONE event-loop thread owns every accepted Connection (sockets,
-//     buffers, delta encoders). Requests are decoded, dispatched
+//     buffers, push cursors). Requests are decoded, dispatched
 //     against the service, and answered on that thread; no per-
 //     connection locks exist.
 //   - Snapshot pushes: the service's publish hook lands in the
 //     SnapshotFanout (O(1) on the ticker thread — a pointer swap plus
 //     one eventfd write for the loop and one waker per subscriber
-//     pool). The loop thread wakes, reads Latest() once, and encodes
-//     a per-connection delta for each subscribed connection.
+//     pool). The loop thread wakes, reads Latest() once, and queues
+//     the stream's shared frame (FrameFor the connection's cursor) on
+//     each subscribed connection.
 //   - In-process subscribers (net::LocalClient / the bench) attach to
 //     the server's SubscriberPool and never touch the loop thread.
 //
@@ -166,11 +167,15 @@ class PiServer {
   void AcceptPending();
   /// Read + dispatch + reply for one ready connection; false = close.
   bool ServiceConnection(Connection* conn);
-  /// Encode and queue the latest snapshot for every subscribed conn.
+  /// Queue the latest snapshot's shared frame on every subscribed conn.
   void PushSnapshots();
   void FlushConnection(Connection* conn);
   /// QueueFrame + frames/bytes accounting; false when the queue shed.
   bool QueueOnConn(Connection* conn, std::string frame);
+  bool QueueOnConn(Connection* conn, FrameBytes frame);
+  /// Queues a snapshot push, moves the conn's cursor to its sequence
+  /// and counts it; false when the queue shed.
+  bool PushOnConn(Connection* conn, const SharedFrame& frame);
   void UpdateEpollInterest(Connection* conn);
   void CloseConnection(std::uint64_t conn_id, bool count_dropped);
   void EvaluateConnFaults();

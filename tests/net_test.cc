@@ -1,8 +1,8 @@
 // Network-layer tests: wire-format round-trip property tests (every
 // encoded frame decodes byte-identically; truncated / oversized /
 // bad-version input is rejected with a Status, never a crash), the
-// snapshot fan-out (O(1) publish, per-subscriber delta encoding,
-// bounded-queue shedding), the TCP server end to end, TSan-checked
+// snapshot fan-out (O(1) publish, frames encoded once per publish and
+// shared, bounded-queue shedding), the TCP server end to end, TSan-checked
 // subscribe/unsubscribe churn during publication, and a chaos soak
 // over the kNet* fault points with seed-replayable fire streams.
 #include <gtest/gtest.h>
@@ -226,6 +226,50 @@ QueryProgress Row(QueryId id, double fraction) {
   row.fraction_done = fraction;
   row.eta_multi = 10.0 * (1.0 - fraction);
   return row;
+}
+
+// The pool's delivery step by hand: publish `snapshot`, then queue on
+// `subscription` the shared frame its cursor needs.
+bool PublishAndDeliver(SnapshotFanout* fanout, Subscription* subscription,
+                       const SnapshotPtr& snapshot, NetMetrics* metrics) {
+  fanout->Publish(snapshot);
+  return subscription->Deliver(
+      fanout->FrameFor(subscription->delivered_sequence(), metrics),
+      metrics);
+}
+
+// The view holds exactly `snapshot`: its sequence, and every row equal
+// bit for bit.
+::testing::AssertionResult ViewEquals(const SnapshotView& view,
+                                      const ProgressSnapshot& snapshot) {
+  if (view.sequence() != snapshot.sequence) {
+    return ::testing::AssertionFailure()
+           << "view at sequence " << view.sequence() << ", snapshot at "
+           << snapshot.sequence;
+  }
+  if (view.rows() != snapshot.queries.size()) {
+    return ::testing::AssertionFailure()
+           << view.rows() << " rows in the view, "
+           << snapshot.queries.size() << " in the snapshot";
+  }
+  for (const QueryProgress& row : snapshot.queries) {
+    const QueryProgress* got = view.Find(row.id);
+    if (got == nullptr || DeltaEncoder::RowChanged(*got, row)) {
+      return ::testing::AssertionFailure() << "row " << row.id << " differs";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+Frame DecodeOne(const std::string& bytes) {
+  Frame decoded;
+  std::size_t consumed = 0;
+  Status error;
+  EXPECT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), kMaxPayloadBytes,
+                           &decoded, &consumed, &error),
+            DecodeResult::kFrame)
+      << error.ToString();
+  return decoded;
 }
 
 // ---- wire round-trip property tests -----------------------------------------
@@ -633,6 +677,7 @@ TEST(SnapshotViewTest, SubscriberStreamsThroughReapsOnDeltasAlone) {
   auto session = service.OpenSession("reaper");
   service::MetricsRegistry registry;
   NetMetrics metrics(&registry);
+  SnapshotFanout fanout;
   auto subscription =
       std::make_shared<Subscription>(Subscription::Options{});
   LocalSubscriber consumer(subscription);
@@ -646,7 +691,8 @@ TEST(SnapshotViewTest, SubscriberStreamsThroughReapsOnDeltasAlone) {
     }
     ASSERT_TRUE(service.Advance(options.rdbms.quantum).ok());
     const SnapshotPtr snapshot = service.snapshot();
-    ASSERT_TRUE(subscription->Deliver(snapshot, &metrics));
+    ASSERT_TRUE(
+        PublishAndDeliver(&fanout, subscription.get(), snapshot, &metrics));
     ASSERT_EQ(consumer.Pump(), 1);
     const SnapshotView& view = consumer.view();
     ASSERT_EQ(view.sequence(), snapshot->sequence);
@@ -684,6 +730,7 @@ TEST(SnapshotViewTest, LabelsSurviveFullDeltaAndReapFrames) {
   auto session = service.OpenSession("labels");
   service::MetricsRegistry registry;
   NetMetrics metrics(&registry);
+  SnapshotFanout fanout;
   auto subscription =
       std::make_shared<Subscription>(Subscription::Options{});
   LocalSubscriber consumer(subscription);
@@ -701,7 +748,8 @@ TEST(SnapshotViewTest, LabelsSurviveFullDeltaAndReapFrames) {
     }
     ASSERT_TRUE(service.Advance(options.rdbms.quantum).ok());
     const SnapshotPtr snapshot = service.snapshot();
-    ASSERT_TRUE(subscription->Deliver(snapshot, &metrics));
+    ASSERT_TRUE(
+        PublishAndDeliver(&fanout, subscription.get(), snapshot, &metrics));
     ASSERT_EQ(consumer.Pump(), 1);
     const SnapshotView& view = consumer.view();
     ASSERT_EQ(view.rows(), snapshot->queries.size());
@@ -807,12 +855,14 @@ TEST(SubscriptionShedTest, OverflowClearsQueueAndLeavesErrorGoodbye) {
   Subscription::Options options;
   options.max_queued_frames = 4;
   Subscription subscription(options);
+  SnapshotFanout fanout;
 
   // Nobody drains: the 5th delivery overflows and sheds.
   bool shed_seen = false;
   for (std::uint64_t seq = 1; seq <= 8; ++seq) {
-    if (!subscription.Deliver(MakeSnapshot(seq, {Row(1, 0.1 * seq)}),
-                              &metrics)) {
+    if (!PublishAndDeliver(&fanout, &subscription,
+                           MakeSnapshot(seq, {Row(1, 0.1 * seq)}),
+                           &metrics)) {
       shed_seen = true;
       break;
     }
@@ -822,26 +872,23 @@ TEST(SubscriptionShedTest, OverflowClearsQueueAndLeavesErrorGoodbye) {
   EXPECT_EQ(metrics.slow_consumers_shed->value(), 1u);
 
   // The queue holds exactly one frame: the kResourceExhausted goodbye.
-  std::string bytes;
+  FrameBytes bytes;
   ASSERT_TRUE(subscription.TryPop(&bytes));
-  Frame decoded;
-  std::size_t consumed = 0;
-  Status error;
-  ASSERT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), kMaxPayloadBytes,
-                           &decoded, &consumed, &error),
-            DecodeResult::kFrame);
+  const Frame decoded = DecodeOne(*bytes);
   const auto* goodbye = std::get_if<ErrorReply>(&decoded.body);
   ASSERT_NE(goodbye, nullptr);
   EXPECT_EQ(goodbye->code, StatusCode::kResourceExhausted);
   EXPECT_FALSE(subscription.TryPop(&bytes));
   // Deliveries after the shed are refused.
-  EXPECT_FALSE(subscription.Deliver(MakeSnapshot(9, {}), &metrics));
+  EXPECT_FALSE(PublishAndDeliver(&fanout, &subscription, MakeSnapshot(9, {}),
+                                 &metrics));
 }
 
 TEST(SubscriptionMetricsTest, DeltaRowCountersMatchTheFramesOnTheWire) {
   service::MetricsRegistry registry;
   NetMetrics metrics(&registry);
   Subscription subscription(Subscription::Options{});
+  SnapshotFanout fanout;
 
   auto rows = std::vector<QueryProgress>{Row(1, 0.1), Row(2, 0.2),
                                          Row(3, 0.3)};
@@ -860,15 +907,11 @@ TEST(SubscriptionMetricsTest, DeltaRowCountersMatchTheFramesOnTheWire) {
   std::uint64_t wire_sent = 0;
   std::uint64_t wire_skipped = 0;
   for (const SnapshotPtr& snapshot : sequence) {
-    ASSERT_TRUE(subscription.Deliver(snapshot, &metrics));
-    std::string bytes;
+    ASSERT_TRUE(
+        PublishAndDeliver(&fanout, &subscription, snapshot, &metrics));
+    FrameBytes bytes;
     ASSERT_TRUE(subscription.TryPop(&bytes));
-    Frame decoded;
-    std::size_t consumed = 0;
-    Status error;
-    ASSERT_EQ(TryDecodeFrame(bytes.data(), bytes.size(), kMaxPayloadBytes,
-                             &decoded, &consumed, &error),
-              DecodeResult::kFrame);
+    const Frame decoded = DecodeOne(*bytes);
     const auto& frame = std::get<SnapshotFrame>(decoded.body);
     wire_sent += frame.rows.size();
     if (decoded.header.type == FrameType::kSnapshotDelta) {
@@ -881,6 +924,85 @@ TEST(SubscriptionMetricsTest, DeltaRowCountersMatchTheFramesOnTheWire) {
   EXPECT_EQ(metrics.delta_rows_skipped->value(), wire_skipped);
   EXPECT_EQ(metrics.full_frames->value(), 1u);
   EXPECT_EQ(metrics.delta_frames->value(), 4u);
+}
+
+// ---- shared frames ----------------------------------------------------------
+
+TEST(SharedFrameTest, DeltaIsByteIdenticalToAFreshEncoderAtTheSameBase) {
+  service::MetricsRegistry registry;
+  NetMetrics metrics(&registry);
+  SnapshotFanout fanout;
+  EXPECT_EQ(fanout.FrameFor(0, &metrics).bytes, nullptr);  // nothing yet
+
+  // Row 2 changes, row 1 is reaped, row 9 is new, row 3 is unchanged.
+  const auto s1 = MakeSnapshot(1, {Row(1, 0.1), Row(2, 0.2), Row(3, 0.3)});
+  auto changed = Row(2, 0.25);
+  const auto s2 = MakeSnapshot(2, {changed, Row(3, 0.3), Row(9, 0.0)});
+  fanout.Publish(s1);
+  fanout.Publish(s2);
+
+  DeltaEncoder primed;
+  primed.Encode(s1);
+  const std::string want_delta = primed.Encode(s2);
+  DeltaEncoder fresh;
+  const std::string want_full = fresh.Encode(s2);
+
+  const SharedFrame delta = fanout.FrameFor(1, &metrics);
+  ASSERT_NE(delta.bytes, nullptr);
+  EXPECT_EQ(*delta.bytes, want_delta);
+  EXPECT_FALSE(delta.full);
+  EXPECT_EQ(delta.sequence, 2u);
+  EXPECT_EQ(delta.rows_sent, 2u);     // rows 2 and 9
+  EXPECT_EQ(delta.rows_skipped, 1u);  // row 3
+  const SharedFrame full = fanout.FrameFor(0, &metrics);
+  EXPECT_EQ(*full.bytes, want_full);
+  EXPECT_TRUE(full.full);
+  EXPECT_EQ(full.rows_sent, 3u);
+  EXPECT_EQ(full.rows_skipped, 0u);
+
+  // Encoded once per kind: later callers share the same buffer.
+  EXPECT_EQ(fanout.FrameFor(1, &metrics).bytes, delta.bytes);
+  EXPECT_EQ(fanout.FrameFor(0, &metrics).bytes, full.bytes);
+  EXPECT_EQ(metrics.frames_encoded->value(), 2u);
+  EXPECT_EQ(metrics.snapshot_rows->value(), 3.0);
+
+  // The next publish retires both; its delta is based on sequence 2.
+  fanout.Publish(MakeSnapshot(3, {changed, Row(9, 0.5)}));
+  const Frame decoded = DecodeOne(*fanout.FrameFor(2, &metrics).bytes);
+  EXPECT_EQ(decoded.header.type, FrameType::kSnapshotDelta);
+  EXPECT_EQ(std::get<SnapshotFrame>(decoded.body).base_sequence, 2u);
+  EXPECT_EQ(metrics.frames_encoded->value(), 3u);
+  EXPECT_EQ(metrics.snapshot_rows->value(), 2.0);
+}
+
+TEST(SharedFrameTest, SubscriberTwoSequencesBehindGetsTheFullFrame) {
+  service::MetricsRegistry registry;
+  NetMetrics metrics(&registry);
+  SnapshotFanout fanout;
+  auto subscription =
+      std::make_shared<Subscription>(Subscription::Options{});
+  LocalSubscriber consumer(subscription);
+
+  ASSERT_TRUE(PublishAndDeliver(&fanout, subscription.get(),
+                                MakeSnapshot(1, {Row(1, 0.1), Row(2, 0.2)}),
+                                &metrics));
+  ASSERT_EQ(consumer.Pump(), 1);
+  // Sequence 2 goes by unseen; 3 drops row 1 and adds row 4.
+  fanout.Publish(MakeSnapshot(2, {Row(1, 0.15), Row(2, 0.2)}));
+  const auto s3 = MakeSnapshot(3, {Row(2, 0.3), Row(4, 0.0)});
+  fanout.Publish(s3);
+
+  const SharedFrame frame = fanout.FrameFor(subscription->delivered_sequence(),
+                                            &metrics);
+  EXPECT_TRUE(frame.full);
+  EXPECT_EQ(frame.sequence, 3u);
+  ASSERT_TRUE(subscription->Deliver(frame, &metrics));
+  ASSERT_EQ(consumer.Pump(), 1);
+  EXPECT_TRUE(ViewEquals(consumer.view(), *s3));
+  EXPECT_EQ(consumer.view().fulls_applied(), 2u);
+  EXPECT_EQ(metrics.full_frames->value(), 2u);
+  EXPECT_EQ(metrics.delta_frames->value(), 0u);
+  EXPECT_EQ(metrics.delta_rows_sent->value(), 4u);  // 2 + 2 full rows
 }
 
 TEST(SubscriptionShedTest, PoolShedsStalledConsumerAndOthersKeepFlowing) {
@@ -989,8 +1111,57 @@ TEST(FanoutConcurrencyTest, StopWithLiveSubscribersIsClean) {
   }
   pool.Stop();  // live subscriptions still registered: must not hang
   // Subscriptions stay poppable after the pool is gone.
-  std::string bytes;
+  FrameBytes bytes;
   EXPECT_TRUE(subs[0]->TryPop(&bytes));
+}
+
+// A live ticker publishes while two pool workers and the server loop
+// ask the same hub for frames: the shared frame cache is the contended
+// state (run under TSan by the `sanitize` label).
+TEST(FanoutConcurrencyTest, TickerPublishesWhileWorkersAndLoopShareFrames) {
+  storage::Catalog catalog;
+  PiServiceOptions options = ManualOptions();
+  options.start_ticker = true;
+  options.time_scale = 50.0;  // a publish every 2 ms of wall time
+  PiService service(&catalog, options);
+  PiServerOptions server_options;
+  server_options.pool_threads = 2;
+  // Room for a slow sanitized consumer: this case is about races, not
+  // shedding.
+  server_options.subscription.max_queued_frames = 1024;
+  PiServer server(&service, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  auto session = service.OpenSession("loadgen");
+  for (int i = 0; i < 6; ++i) {
+    (void)session->Submit(QuerySpec::Synthetic(1e6 + 10.0 * i));
+  }
+
+  std::vector<LocalSubscriber> subs;
+  for (int i = 0; i < 8; ++i) subs.emplace_back(server.pool()->Subscribe());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE((*client)->Subscribe().ok());
+
+  const std::uint64_t target = service.snapshot()->sequence + 50;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::uint64_t slowest = 0;
+  while (slowest < target && std::chrono::steady_clock::now() < deadline) {
+    slowest = target;
+    for (auto& sub : subs) {
+      sub.Pump();
+      slowest = std::min(slowest, sub.view().sequence());
+    }
+    (void)(*client)->PumpOne(0.001);
+    slowest = std::min(slowest, (*client)->view().sequence());
+  }
+  EXPECT_GE(slowest, target);
+  for (const auto& sub : subs) EXPECT_FALSE(sub.shed());
+  EXPECT_GT(server.metrics()->frames_encoded->value(), 0u);
+  client->reset();
+  session->Close();
+  server.Stop();
+  service.Stop();
 }
 
 TEST(ServerConcurrencyTest, TcpSubscribersDuringTickerPublishes) {
@@ -1116,15 +1287,19 @@ TEST_F(TcpServerTest, SubscribePushesFullThenDeltas) {
   EXPECT_EQ(client_->view().rows(), 2u);
   EXPECT_EQ(client_->view().fulls_applied(), 1u);
 
-  // Advance simulated time: the subscriber's view converges onto the
-  // service's own snapshot through delta frames alone.
+  // Advance simulated time one publish at a time: a subscriber that
+  // keeps up converges onto the service's own snapshot through delta
+  // frames alone (one that falls further behind gets a full frame).
   for (int tick = 0; tick < 5; ++tick) {
     ASSERT_TRUE(service_->Advance(0.1).ok());
+    auto reached =
+        client_->WaitForSequence(service_->snapshot()->sequence, 5.0);
+    ASSERT_TRUE(reached.ok()) << reached.status().ToString();
   }
   const auto latest = service_->snapshot();
-  auto final_seq = client_->WaitForSequence(latest->sequence, 5.0);
-  ASSERT_TRUE(final_seq.ok()) << final_seq.status().ToString();
-  EXPECT_GE(client_->view().deltas_applied(), 1u);
+  EXPECT_EQ(client_->view().sequence(), latest->sequence);
+  EXPECT_EQ(client_->view().deltas_applied(), 5u);
+  EXPECT_EQ(client_->view().fulls_applied(), 1u);
 
   for (const auto& row : latest->queries) {
     const auto* got = client_->view().Find(row.id);
@@ -1134,6 +1309,69 @@ TEST_F(TcpServerTest, SubscribePushesFullThenDeltas) {
   }
 
   ASSERT_TRUE(client_->Unsubscribe().ok());
+}
+
+// The row counters count TCP pushes too: with only a TCP subscriber,
+// they equal the rows of the frames it decoded off the socket.
+TEST_F(TcpServerTest, RowCountersCountTcpPushes) {
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(client_->SubmitSynthetic(300.0 + 100.0 * i).ok());
+  }
+  service_->PublishNow();
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(server_->port());
+  inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string subscribe =
+      EncodeFrame(1, FrameBody{SubscribeRequest{}});
+  ASSERT_EQ(::send(fd, subscribe.data(), subscribe.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(subscribe.size()));
+
+  std::string stream;
+  std::uint64_t rows_sent = 0;
+  std::uint64_t rows_skipped = 0;
+  std::uint64_t seen = 0;
+  // Reads and decodes pushes until one carries `sequence`.
+  auto read_until = [&](std::uint64_t sequence) {
+    while (seen < sequence) {
+      char chunk[4096];
+      const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+      ASSERT_GT(n, 0);
+      stream.append(chunk, static_cast<std::size_t>(n));
+      for (;;) {
+        Frame frame;
+        std::size_t consumed = 0;
+        Status error;
+        const DecodeResult r =
+            TryDecodeFrame(stream.data(), stream.size(), kMaxPayloadBytes,
+                           &frame, &consumed, &error);
+        ASSERT_NE(r, DecodeResult::kError) << error.ToString();
+        if (r == DecodeResult::kNeedMore) break;
+        stream.erase(0, consumed);
+        const auto* push = std::get_if<SnapshotFrame>(&frame.body);
+        if (push == nullptr) continue;  // the SUBSCRIBE reply
+        rows_sent += push->rows.size();
+        if (frame.header.type == FrameType::kSnapshotDelta) {
+          rows_skipped += push->total_rows - push->rows.size();
+        }
+        seen = push->sequence;
+      }
+    }
+  };
+  read_until(service_->snapshot()->sequence);
+  for (int tick = 0; tick < 12; ++tick) {
+    ASSERT_TRUE(service_->Advance(0.1).ok());
+    read_until(service_->snapshot()->sequence);
+  }
+  ::close(fd);
+  EXPECT_GE(rows_sent, 4u);  // at least the full frame's rows
+  EXPECT_EQ(server_->metrics()->delta_rows_sent->value(), rows_sent);
+  EXPECT_EQ(server_->metrics()->delta_rows_skipped->value(), rows_skipped);
 }
 
 TEST_F(TcpServerTest, WhatIfAnswersOverTheWire) {
@@ -1264,16 +1502,17 @@ TEST(NetChaosTest, SlowConsumerFaultStreamIsSeedReplayable) {
     Subscription::Options options;
     options.max_queued_frames = 3;
     Subscription subscription(options);
+    SnapshotFanout fanout;
     int shed_at = -1;
-    std::string bytes;
+    FrameBytes bytes;
     for (int i = 0; i < 200; ++i) {
       if (injector.ShouldFire(fault::kNetSlowConsumer)) {
         subscription.StallPops(2);
       }
-      if (!subscription.Deliver(
-              MakeSnapshot(static_cast<std::uint64_t>(i + 1),
-                           {Row(1, 0.001 * i)}),
-              &metrics)) {
+      if (!PublishAndDeliver(&fanout, &subscription,
+                             MakeSnapshot(static_cast<std::uint64_t>(i + 1),
+                                          {Row(1, 0.001 * i)}),
+                             &metrics)) {
         shed_at = i;
         break;
       }
@@ -1288,6 +1527,74 @@ TEST(NetChaosTest, SlowConsumerFaultStreamIsSeedReplayable) {
   // A different seed gives a different (still deterministic) story.
   const int other = run(0x123456u);
   EXPECT_EQ(other, run(0x123456u));
+}
+
+// Byte-capped socket writes and frozen consumers on both transports:
+// once the faults stop, the TCP view and every in-process view equal
+// the final snapshot, whether they caught up on deltas or (when a pool
+// sweep or loop wake slept through a publish) on a full frame.
+TEST(NetChaosTest, ViewsConvergeUnderPartialWritesAndSlowConsumers) {
+  fault::FaultInjector injector(0x5EEDu);
+  injector.ArmProbability(fault::kNetPartialWrite, 0.5, /*value=*/7);
+  injector.ArmProbability(fault::kNetSlowConsumer, 0.05);
+
+  storage::Catalog catalog;
+  PiServiceOptions options = ManualOptions();
+  PiService service(&catalog, options);
+  PiServerOptions server_options;
+  server_options.fault = &injector;
+  PiServer server(&service, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  auto session = service.OpenSession("chaos-load");
+  for (int i = 0; i < 12; ++i) {
+    (void)session->Submit(QuerySpec::Synthetic(50.0 + 15.0 * i));
+  }
+  service.PublishNow();
+
+  std::vector<LocalSubscriber> subs;
+  for (int i = 0; i < 8; ++i) subs.emplace_back(server.pool()->Subscribe());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE((*client)->Subscribe().ok());
+
+  // Bursts of publishes between pumps, so consumers can fall more than
+  // one sequence behind (and queries finish and are reaped meanwhile).
+  for (int burst = 0; burst < 10; ++burst) {
+    for (int i = 0; i < 3; ++i) ASSERT_TRUE(service.Advance(0.1).ok());
+    for (auto& sub : subs) sub.Pump();
+    (void)(*client)->PumpOne(0.01);
+  }
+  injector.DisarmAll();
+  // One more publish after the faults: stalls already armed drain on
+  // the consumers' own pumps and the loop's flushes.
+  ASSERT_TRUE(service.Advance(0.1).ok());
+  const SnapshotPtr final_snapshot = service.snapshot();
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool converged = false;
+  while (!converged && std::chrono::steady_clock::now() < deadline) {
+    converged = true;
+    for (auto& sub : subs) {
+      sub.Pump();
+      converged = converged &&
+                  sub.view().sequence() >= final_snapshot->sequence;
+    }
+    std::this_thread::yield();
+  }
+  auto reached = (*client)->WaitForSequence(final_snapshot->sequence, 10.0);
+  ASSERT_TRUE(reached.ok()) << reached.status().ToString();
+  EXPECT_TRUE(ViewEquals((*client)->view(), *final_snapshot));
+  for (const auto& sub : subs) {
+    EXPECT_FALSE(sub.shed());
+    EXPECT_TRUE(ViewEquals(sub.view(), *final_snapshot));
+  }
+  // Both faults actually fired.
+  for (const auto& point : injector.Stats()) {
+    EXPECT_GT(point.lifetime_fires, 0u) << point.point;
+  }
+  session->Close();
+  server.Stop();
 }
 
 TEST(NetChaosTest, ServerSurvivesAllNetFaultsUnderLoad) {

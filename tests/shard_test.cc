@@ -519,20 +519,21 @@ TEST(ShardServerTest, StatsCarriesShardRowsAndSubscribeScopesAreEnforced) {
   auto shard_sequence = client->WaitForSequence(1, 5.0);
   EXPECT_TRUE(shard_sequence.ok()) << shard_sequence.status().ToString();
   // Re-scope to the merged view: the next push is a SNAPSHOT_FULL of
-  // the global snapshot. Pump until it lands (WaitForSequence cannot
-  // tell shard-local from merged sequence numbering).
+  // the global snapshot. Pump until it lands, known by the per-shard
+  // load gauges that only merged frames carry (WaitForSequence cannot
+  // tell shard-local from merged sequence numbering, and a shard push
+  // still in flight may itself be a full frame if the loop lagged).
   const std::uint64_t fulls_before = client->view().fulls_applied();
   ASSERT_TRUE(client->Subscribe(-1).ok());
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (client->view().fulls_applied() == fulls_before &&
+  while (client->view().shard_loads().size() != 4u &&
          std::chrono::steady_clock::now() < deadline) {
     auto pumped = client->PumpOne(0.2);
     ASSERT_TRUE(pumped.ok()) << pumped.status().ToString();
   }
-  ASSERT_GT(client->view().fulls_applied(), fulls_before);
-  // Merged frames carry the per-shard load gauges.
   EXPECT_EQ(client->view().shard_loads().size(), 4u);
+  ASSERT_GT(client->view().fulls_applied(), fulls_before);
 
   client.reset();
   server.Stop();

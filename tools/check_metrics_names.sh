@@ -67,6 +67,7 @@ recover.checkpoints_written
 service.drains
 net.client.reconnects
 net.client.resubscribes
+net.frames_encoded
 coord.merges
 coord.rebalance_hints
 "
@@ -78,13 +79,16 @@ for name in $required_counters; do
 done
 
 # Gauges the liveness contract shares between /healthz and the
-# watchdog, and the rate-assumption gauge accuracy dashboards read
-# (pi.rate_ratio: measured rate over configured C).
+# watchdog, the rate-assumption gauge accuracy dashboards read
+# (pi.rate_ratio: measured rate over configured C), and the fan-out's
+# retained-state gauge (net.snapshot_rows: rows behind the latest
+# shared frame).
 required_gauges="
 service.uptime_quanta
 service.ticker_last_step_age_quanta
 coord.shards
 pi.rate_ratio
+net.snapshot_rows
 "
 for name in $required_gauges; do
   if ! grep -q "^gauge $name\$" "$names_file"; then
