@@ -50,7 +50,7 @@ void Render(const net::SnapshotView& view) {
               static_cast<unsigned long long>(view.deltas_applied()));
   std::printf("%-5s %-9s %-26s %8s %10s %6s\n", "id", "state", "progress",
               "done%", "multi ETA", "queue");
-  for (const auto& q : view.Rows()) {
+  for (const auto& q : view.snapshot()->queries) {
     if (q.terminal()) continue;
     const std::string queue_pos =
         q.queue_position >= 0 ? "#" + std::to_string(q.queue_position) : "-";

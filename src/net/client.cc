@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <utility>
@@ -21,72 +22,83 @@ double NowSeconds() {
       .count();
 }
 
+const service::SnapshotPtr& EmptySnapshot() {
+  static const service::SnapshotPtr empty =
+      std::make_shared<const service::ProgressSnapshot>();
+  return empty;
+}
+
+// `held`'s rows patched by a delta: `rows` replace or add, `removed`
+// ids leave, everything else is carried over. One walk over the three
+// id-ordered lists.
+std::vector<service::QueryProgress> MergeDelta(
+    const std::vector<service::QueryProgress>& held,
+    const SnapshotFrame& frame) {
+  std::vector<service::QueryProgress> out;
+  out.reserve(held.size() + frame.rows.size());
+  auto incoming = frame.rows.begin();
+  auto removed = frame.removed.begin();
+  for (const service::QueryProgress& row : held) {
+    while (incoming != frame.rows.end() && incoming->id < row.id) {
+      out.push_back(*incoming++);  // new query
+    }
+    if (incoming != frame.rows.end() && incoming->id == row.id) {
+      out.push_back(*incoming++);
+      // Labels are fixed at submit: keep the block the view holds, so
+      // delta rows cost the view no label memory.
+      if (out.back().label == row.label) out.back().label = row.label;
+      continue;
+    }
+    while (removed != frame.removed.end() && *removed < row.id) ++removed;
+    const bool left = removed != frame.removed.end() && *removed == row.id;
+    if (!left) out.push_back(row);
+  }
+  out.insert(out.end(), incoming, frame.rows.end());
+  return out;
+}
+
 }  // namespace
 
 // ---- SnapshotView -----------------------------------------------------------
 
+SnapshotView::SnapshotView() : snapshot_(EmptySnapshot()) {}
+
+SnapshotView::SnapshotView(service::SnapshotPtr snapshot)
+    : snapshot_(snapshot != nullptr ? std::move(snapshot) : EmptySnapshot()) {}
+
 Status SnapshotView::Apply(const SnapshotFrame& frame, bool is_full) {
-  if (is_full) {
-    rows_.clear();
-    ++fulls_applied_;
-  } else {
-    if (frame.base_sequence != sequence_) {
-      return Status::FailedPrecondition(
-          "snapshot stream gap: view holds sequence " +
-          std::to_string(sequence_) + " but the delta patches base " +
-          std::to_string(frame.base_sequence) + "; resubscribe");
-    }
-    ++deltas_applied_;
+  if (!is_full && frame.base_sequence != sequence()) {
+    return Status::FailedPrecondition(
+        "snapshot stream gap: view holds sequence " +
+        std::to_string(sequence()) + " but the delta patches base " +
+        std::to_string(frame.base_sequence) + "; resubscribe");
   }
-  for (QueryId id : frame.removed) rows_.erase(id);
-  for (const auto& row : frame.rows) {
-    auto [it, inserted] = rows_.try_emplace(row.id, row);
-    if (inserted) continue;
-    // A label is fixed at submit, so the row keeps the block it already
-    // holds and the frame's copy dies with the frame: delta rows cost
-    // the view no label memory.
-    QueryLabel held = std::move(it->second.label);
-    it->second = row;
-    if (held == row.label) it->second.label = std::move(held);
+  service::ProgressSnapshot next{
+      .sequence = frame.sequence, .sim_time = frame.sim_time,
+      .num_running = frame.num_running, .num_queued = frame.num_queued,
+      .num_blocked = frame.num_blocked, .measured_rate = frame.measured_rate,
+      .quiescent_eta = frame.quiescent_eta, .age_quanta = frame.age_quanta,
+      .degraded = frame.degraded,
+      .queries = is_full ? frame.rows : MergeDelta(snapshot_->queries, frame),
+      .shard_loads = frame.shard_loads};
+  // Find's binary search needs strictly ascending ids, which every
+  // encoder emits; a frame listing them out of order ends up here too.
+  const auto& rows = next.queries;
+  if (rows.size() != frame.total_rows ||
+      std::adjacent_find(rows.begin(), rows.end(), [](auto& a, auto& b) {
+        return a.id >= b.id;
+      }) != rows.end()) {
+    return Status::Internal(
+        "snapshot frame " + std::to_string(frame.sequence) + " declares " +
+        std::to_string(frame.total_rows) + " rows; the view would hold " +
+        std::to_string(rows.size()) + ", or ids out of order");
   }
-  sequence_ = frame.sequence;
-  sim_time_ = frame.sim_time;
-  num_running_ = frame.num_running;
-  num_queued_ = frame.num_queued;
-  num_blocked_ = frame.num_blocked;
-  degraded_ = frame.degraded;
-  shard_loads_ = frame.shard_loads;
-  if (rows_.size() != frame.total_rows) {
-    return Status::Internal("snapshot view holds " +
-                            std::to_string(rows_.size()) + " rows, frame " +
-                            std::to_string(frame.sequence) + " declares " +
-                            std::to_string(frame.total_rows));
-  }
+  ++(is_full ? fulls_applied_ : deltas_applied_);
+  snapshot_ = std::make_shared<service::ProgressSnapshot>(std::move(next));
   return Status::OK();
 }
 
-void SnapshotView::Reset() {
-  rows_.clear();
-  sequence_ = 0;
-  sim_time_ = 0.0;
-  num_running_ = 0;
-  num_queued_ = 0;
-  num_blocked_ = 0;
-  degraded_ = false;
-  shard_loads_.clear();
-}
-
-const service::QueryProgress* SnapshotView::Find(QueryId id) const {
-  const auto it = rows_.find(id);
-  return it == rows_.end() ? nullptr : &it->second;
-}
-
-std::vector<service::QueryProgress> SnapshotView::Rows() const {
-  std::vector<service::QueryProgress> out;
-  out.reserve(rows_.size());
-  for (const auto& [id, row] : rows_) out.push_back(row);
-  return out;
-}
+void SnapshotView::Reset() { snapshot_ = EmptySnapshot(); }
 
 // ---- Client -----------------------------------------------------------------
 
@@ -365,32 +377,19 @@ Status Client::Unsubscribe() {
 
 int LocalSubscriber::Pump(std::vector<std::uint64_t>* sequences,
                           bool* shed_out) {
-  int applied = 0;
-  FrameBytes bytes;
-  while (subscription_->TryPop(&bytes)) {
-    Frame frame;
-    std::size_t consumed = 0;
-    Status error;
-    const DecodeResult r =
-        TryDecodeFrame(bytes->data(), bytes->size(), kMaxPayloadBytes, &frame,
-                       &consumed, &error);
-    if (r != DecodeResult::kFrame) continue;  // never expected; skip
-    if (std::holds_alternative<ErrorReply>(frame.body)) {
+  int popped = 0;
+  service::SnapshotPtr snapshot;
+  while (subscription_->TryPop(&snapshot)) {
+    if (snapshot == nullptr) {
       saw_shed_ = true;
       continue;
     }
-    if (const auto* snapshot = std::get_if<SnapshotFrame>(&frame.body)) {
-      if (view_
-              .Apply(*snapshot,
-                     frame.header.type == FrameType::kSnapshotFull)
-              .ok()) {
-        ++applied;
-        if (sequences != nullptr) sequences->push_back(snapshot->sequence);
-      }
-    }
+    ++popped;
+    if (sequences != nullptr) sequences->push_back(snapshot->sequence);
+    view_ = SnapshotView(std::move(snapshot));
   }
   if (shed_out != nullptr) *shed_out = saw_shed_;
-  return applied;
+  return popped;
 }
 
 }  // namespace mqpi::net

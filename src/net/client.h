@@ -1,10 +1,9 @@
 // Client-side pieces of the wire protocol:
 //
-//   SnapshotView — merges the server's SNAPSHOT_FULL / SNAPSHOT_DELTA
-//   push stream back into a complete progress table (the inverse of
-//   DeltaEncoder). Delta frames must patch the sequence the view
-//   currently holds (or anything newer than their base); a gap means
-//   frames were lost — the caller resubscribes.
+//   SnapshotView — one immutable ProgressSnapshot held by pointer: the
+//   published one itself in process, or one a TCP client builds from
+//   the SNAPSHOT_FULL / SNAPSHOT_DELTA push stream (the inverse of
+//   DeltaEncoder). A stream gap makes the caller resubscribe.
 //
 //   Client — a blocking TCP client for examples, tests, and tools.
 //   One Call() per request; snapshot pushes that interleave with the
@@ -12,13 +11,11 @@
 //   Deliberately simple: one outstanding request, poll(2) timeouts.
 //
 //   LocalSubscriber — the no-socket endpoint the 100k-subscriber bench
-//   instantiates in bulk: wraps a SubscriberPool Subscription and
-//   applies its queued shared frames (the very bytes a TCP subscriber
-//   of the same stream receives) to a SnapshotView.
+//   instantiates in bulk: a SubscriberPool Subscription whose last
+//   popped snapshot is the view, shared, never copied or decoded.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,9 +29,16 @@ namespace mqpi::net {
 
 class SnapshotView {
  public:
-  /// Applies one push frame (decoded SnapshotFrame + which kind).
-  /// FailedPrecondition when a delta's base sequence does not match
-  /// what the view holds — the stream has a gap; resubscribe.
+  /// The empty, sequence-0 view.
+  SnapshotView();
+  /// A view of `snapshot` itself (null = empty): Find reads its rows.
+  explicit SnapshotView(service::SnapshotPtr snapshot);
+
+  /// Applies one push frame (decoded SnapshotFrame + which kind): the
+  /// view moves to a new snapshot, the held one patched by one
+  /// id-ordered merge. FailedPrecondition when a delta's base sequence
+  /// is not the view's — a stream gap; resubscribe. On any error the
+  /// view keeps what it held.
   Status Apply(const SnapshotFrame& frame, bool is_full);
 
   /// Back to the empty, sequence-0 state (the applied-frame tallies
@@ -42,33 +46,28 @@ class SnapshotView {
   /// rows the new stream may never mention again.
   void Reset();
 
-  std::uint64_t sequence() const { return sequence_; }
-  SimTime sim_time() const { return sim_time_; }
-  bool degraded() const { return degraded_; }
-  std::int32_t num_running() const { return num_running_; }
-  std::int32_t num_queued() const { return num_queued_; }
-  std::size_t rows() const { return rows_.size(); }
+  std::uint64_t sequence() const { return snapshot_->sequence; }
+  SimTime sim_time() const { return snapshot_->sim_time; }
+  bool degraded() const { return snapshot_->degraded; }
+  std::int32_t num_running() const { return snapshot_->num_running; }
+  std::int32_t num_queued() const { return snapshot_->num_queued; }
+  std::size_t rows() const { return snapshot_->queries.size(); }
   std::uint64_t fulls_applied() const { return fulls_applied_; }
   std::uint64_t deltas_applied() const { return deltas_applied_; }
   /// Per-shard load gauges from the last frame; empty on single-shard
   /// streams.
   const std::vector<service::ShardLoad>& shard_loads() const {
-    return shard_loads_;
+    return snapshot_->shard_loads;
   }
 
-  const service::QueryProgress* Find(QueryId id) const;
-  /// All rows, sorted by id.
-  std::vector<service::QueryProgress> Rows() const;
+  const service::QueryProgress* Find(QueryId id) const {
+    return snapshot_->Find(id);
+  }
+  /// The snapshot the view holds (rows sorted by id); never null.
+  const service::SnapshotPtr& snapshot() const { return snapshot_; }
 
  private:
-  std::map<QueryId, service::QueryProgress> rows_;
-  std::uint64_t sequence_ = 0;
-  SimTime sim_time_ = 0.0;
-  std::int32_t num_running_ = 0;
-  std::int32_t num_queued_ = 0;
-  std::int32_t num_blocked_ = 0;
-  bool degraded_ = false;
-  std::vector<service::ShardLoad> shard_loads_;
+  service::SnapshotPtr snapshot_;
   std::uint64_t fulls_applied_ = 0;
   std::uint64_t deltas_applied_ = 0;
 };
@@ -156,10 +155,10 @@ class LocalSubscriber {
   explicit LocalSubscriber(std::shared_ptr<Subscription> subscription)
       : subscription_(std::move(subscription)) {}
 
-  /// Drains every queued frame into the view. Returns frames applied;
-  /// `*shed_out` (optional) reports whether the shed goodbye (ERROR
-  /// frame) was consumed. `sequences` (optional) collects the snapshot
-  /// sequence of each applied frame, in order (latency stamping).
+  /// Drains the queue; the last snapshot popped becomes the view.
+  /// Returns snapshots popped; `*shed_out` (optional) reports whether
+  /// the shed goodbye was consumed. `sequences` (optional) collects the
+  /// sequence of each popped snapshot, in order (latency stamping).
   int Pump(std::vector<std::uint64_t>* sequences = nullptr,
            bool* shed_out = nullptr);
 

@@ -19,6 +19,11 @@ std::int64_t NowNs() {
   return std::chrono::steady_clock::now().time_since_epoch().count();
 }
 
+// What a queued snapshot is charged against max_queued_bytes.
+std::size_t PinnedBytes(const service::ProgressSnapshot& snapshot) {
+  return snapshot.queries.size() * sizeof(service::QueryProgress);
+}
+
 bool BitsDiffer(double a, double b) {
   std::uint64_t ua, ub;
   std::memcpy(&ua, &a, sizeof ua);
@@ -256,39 +261,36 @@ std::string DeltaEncoder::Encode(const service::SnapshotPtr& next,
 
 // ---- Subscription -----------------------------------------------------------
 
-bool Subscription::Deliver(const SharedFrame& frame, NetMetrics* metrics) {
+bool Subscription::Deliver(service::SnapshotPtr snapshot,
+                           NetMetrics* metrics) {
   if (shed() || cancelled()) return false;
-  const std::size_t bytes = frame.bytes->size();
+  const std::uint64_t sequence = snapshot->sequence;
+  const std::size_t bytes = PinnedBytes(*snapshot);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.size() + 1 > options_.max_queued_frames ||
+    if (queue_.size() - head_ + 1 > options_.max_queued_frames ||
         queued_bytes_ + bytes > options_.max_queued_bytes) {
       // Slow consumer: shed rather than buffer without bound. The
-      // queue is replaced by one final Status-coded error frame.
-      queue_.clear();
+      // queue is replaced by the goodbye, one null snapshot.
+      queue_.assign(1, nullptr);
+      head_ = 0;
       queued_bytes_ = 0;
-      ErrorReply error;
-      error.code = StatusCode::kResourceExhausted;
-      error.message = "subscription shed: write queue overflow "
-                      "(slow consumer)";
-      queue_.push_back(ShareFrame(EncodeFrame(0, FrameBody(std::move(error)))));
       shed_.store(true, std::memory_order_release);
       if (metrics != nullptr) metrics->slow_consumers_shed->Increment();
       return false;
     }
+    if (head_ >= options_.max_queued_frames) {  // drop popped slots
+      queue_.erase(queue_.begin(), queue_.begin() + head_);
+      head_ = 0;
+    }
     queued_bytes_ += bytes;
-    queue_.push_back(frame.bytes);
+    queue_.push_back(std::move(snapshot));
   }
-  delivered_sequence_.store(frame.sequence, std::memory_order_relaxed);
-  if (metrics != nullptr) {
-    metrics->frames_sent->Increment();
-    metrics->bytes_sent->Increment(bytes);
-    metrics->CountSnapshotFrame(frame);
-  }
+  delivered_sequence_.store(sequence, std::memory_order_relaxed);
   return true;
 }
 
-bool Subscription::TryPop(FrameBytes* frame) {
+bool Subscription::TryPop(service::SnapshotPtr* snapshot) {
   int stalled = stalled_pops_.load(std::memory_order_relaxed);
   while (stalled > 0) {
     if (stalled_pops_.compare_exchange_weak(stalled, stalled - 1,
@@ -297,10 +299,13 @@ bool Subscription::TryPop(FrameBytes* frame) {
     }
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (queue_.empty()) return false;
-  *frame = std::move(queue_.front());
-  queue_.pop_front();
-  queued_bytes_ -= (*frame)->size();
+  if (head_ == queue_.size()) return false;
+  *snapshot = std::move(queue_[head_++]);
+  if (head_ == queue_.size()) {  // drained: refill from the front
+    queue_.clear();
+    head_ = 0;
+  }
+  if (*snapshot != nullptr) queued_bytes_ -= PinnedBytes(**snapshot);
   return true;
 }
 
@@ -314,7 +319,7 @@ void Subscription::StallPops(int n) {
 
 bool Subscription::Drained() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return queue_.empty();
+  return head_ == queue_.size();
 }
 
 // ---- SubscriberPool ---------------------------------------------------------
@@ -380,12 +385,10 @@ void SubscriberPool::Stop() {
 
 std::shared_ptr<Subscription> SubscriberPool::Subscribe() {
   auto subscription = std::make_shared<Subscription>(options_.subscription);
-  // Seed the subscriber with the shared full frame of the current
-  // snapshot before it joins a shard, so it has data even if no
-  // publish ever comes.
-  if (const SharedFrame full = fanout_->FrameFor(0, metrics_);
-      full.bytes != nullptr) {
-    subscription->Deliver(full, metrics_);
+  // Seed the subscriber with the current snapshot before it joins a
+  // shard, so it has data even if no publish ever comes.
+  if (service::SnapshotPtr latest = fanout_->Latest(); latest != nullptr) {
+    subscription->Deliver(std::move(latest), metrics_);
   }
   const std::size_t shard_index =
       next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
@@ -476,46 +479,36 @@ void SubscriberPool::SweepShard(Shard* shard,
     }
   }
 
-  // Subscribers that kept up share one cursor, so one FrameFor call
-  // (one hub lock) serves the whole run of them.
-  std::uint64_t frame_have = 0;
-  SharedFrame frame;
+  // A subscriber however far behind gets the latest snapshot itself:
+  // no frame to pick, nothing encoded.
   bool any_dead = false;
+  bool delivered = false;
   for (const auto& subscription : roster) {
     if (subscription->cancelled() || subscription->shed()) {
       any_dead = true;
       continue;
     }
-    const std::uint64_t have = subscription->delivered_sequence();
-    if (have >= snapshot->sequence) continue;
-    if (frame.bytes == nullptr || have != frame_have) {
-      frame = fanout_->FrameFor(have, metrics_);
-      frame_have = have;
-    }
-    if (!subscription->Deliver(frame, metrics_)) {
-      any_dead = true;
+    if (subscription->delivered_sequence() >= snapshot->sequence) continue;
+    if (subscription->Deliver(snapshot, metrics_)) {
+      delivered = true;
     } else {
-      metrics_->ObservePublishToWrite(*fanout_, frame.sequence);
+      any_dead = true;
     }
   }
+  // One latency sample per sweep, when its last queue write landed:
+  // a per-delivery sample would take the histogram's lock once per
+  // subscriber.
+  if (delivered) metrics_->ObservePublishToWrite(*fanout_, snapshot->sequence);
   if (!any_dead) return;
   // Compact: drop shed/cancelled subscriptions from the shard.
   std::lock_guard<std::mutex> lock(shard->mu);
-  auto& subs = shard->subs;
-  const auto dead = [](const std::shared_ptr<Subscription>& s) {
-    return s->cancelled() || (s->shed() && s->Drained());
-  };
-  std::int64_t removed = 0;
-  auto it = std::remove_if(subs.begin(), subs.end(),
-                           [&](const std::shared_ptr<Subscription>& s) {
-                             if (dead(s)) {
-                               ++removed;
-                               return true;
-                             }
-                             return false;
-                           });
-  subs.erase(it, subs.end());
-  if (removed > 0) metrics_->subscriptions->Add(-removed);
+  const auto removed =
+      std::erase_if(shard->subs, [](const std::shared_ptr<Subscription>& s) {
+        return s->cancelled() || (s->shed() && s->Drained());
+      });
+  if (removed > 0) {
+    metrics_->subscriptions->Add(-static_cast<double>(removed));
+  }
 }
 
 }  // namespace mqpi::net

@@ -16,16 +16,12 @@
 //   gate can assert O(1)-in-subscribers by measurement.
 //
 //   Shared frames — the hub also keeps the snapshot published before
-//   `Latest()`, and `FrameFor(have_sequence)` hands a subscriber the
-//   wire frame that brings it up to `Latest()`: the SNAPSHOT_DELTA
-//   against that previous snapshot when the subscriber holds it, the
-//   SNAPSHOT_FULL otherwise (first contact, or lagging by more than
-//   one publish). Each kind is encoded at most once per published
-//   sequence, by the first consumer thread that asks, under a cache
-//   mutex the publisher never takes; every subscriber then queues the
-//   same immutable ref-counted bytes. Per-subscriber state is just a
-//   cursor (the last sequence delivered), so fan-out memory and CPU
-//   follow the frame, not subscribers x frame.
+//   `Latest()`, and `FrameFor(have_sequence)` hands a TCP connection
+//   the wire frame that brings it up to `Latest()`: the SNAPSHOT_DELTA
+//   against that previous snapshot when the connection holds it, the
+//   SNAPSHOT_FULL otherwise. Each kind is encoded at most once per
+//   published sequence, under a cache mutex the publisher never takes;
+//   every connection then queues the same ref-counted bytes.
 //
 //   DeltaEncoder — the differ behind those frames, also usable on its
 //   own. Remembers the last snapshot it encoded and emits either a
@@ -37,30 +33,29 @@
 //   linear merge-walk.
 //
 //   Subscription — one in-process subscriber endpoint: a delivery
-//   cursor plus a bounded queue of shared frames (frames x bytes
-//   caps). The producer side (a SubscriberPool worker) enqueues; the
-//   consumer side pops the shared bytes. Overflow = slow consumer: the
-//   queue is cleared, a Status-coded ERROR frame (kResourceExhausted)
-//   is left as the final message, and the subscription is shed —
-//   exactly the PR 4 bounded-queue shedding discipline at the network
-//   edge.
+//   cursor plus a bounded queue of published snapshots (frames x
+//   pinned-row-bytes caps). It shares the publisher's address space,
+//   where the snapshot is already immutable and ref-counted, so it
+//   needs no wire format: a SubscriberPool worker enqueues the pointer
+//   and the consumer pops it. Overflow = slow consumer: the queue is
+//   cleared, a null snapshot is left as the goodbye, and the
+//   subscription is shed.
 //
 //   SubscriberPool — worker threads fanning published snapshots out to
 //   sharded Subscription sets. Registers ONE waker with the fanout;
 //   each worker wakes on publish, reads `Latest()` once, and walks its
-//   shards queueing the shared frame each subscriber needs. All
+//   shards queueing it on every subscriber that has not seen it. All
 //   per-subscriber work happens here, off the ticker thread.
 //
-// TCP connections use the same SnapshotFanout and shared frames but
-// skip Subscription/SubscriberPool: their cursor and write queue live
-// in the epoll loop (see net/conn.h / net/server.h).
+// TCP connections, the only callers of FrameFor, skip Subscription and
+// SubscriberPool: their cursor and write queue live in the epoll loop
+// (see net/conn.h / net/server.h).
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -105,6 +100,9 @@ struct SharedFrame {
 /// MetricsRegistry (all names pass the `lint` label check). Shared by
 /// the TCP server, the subscriber pools, and the connections.
 struct NetMetrics {
+  /// Frames and bytes queued on TCP connections, the full/delta split
+  /// of their snapshot pushes and the rows those pushes carried and
+  /// elided. In-process deliveries are pointers and count in none.
   service::Counter* frames_sent = nullptr;
   service::Counter* bytes_sent = nullptr;
   service::Counter* frames_received = nullptr;
@@ -120,11 +118,11 @@ struct NetMetrics {
   service::Counter* accept_failures = nullptr;
   service::Counter* conns_dropped = nullptr;
   service::Counter* publish_wakeups = nullptr;
-  /// Frames the hubs' shared caches encoded (at most one delta and one
-  /// full frame per published sequence and stream), and the rows of
-  /// the snapshot behind the latest one: the retained-state gauge of
-  /// the fan-out. Both move on the encoding consumer thread, never in
-  /// Publish.
+  /// Frames the hubs' shared caches encoded for TCP connections (at
+  /// most one delta and one full frame per published sequence and
+  /// stream; none while only in-process subscribers listen), and the
+  /// rows of the snapshot behind the latest one. Both move on the
+  /// server loop, never in Publish.
   service::Counter* frames_encoded = nullptr;
   service::Gauge* snapshot_rows = nullptr;
   /// Live counts, moved by concurrent Add(+-1) from the loop and the
@@ -272,24 +270,25 @@ class Subscription {
  public:
   struct Options {
     std::size_t max_queued_frames = 64;
+    /// Caps the rows the queue pins: each queued snapshot is charged
+    /// queries.size() x sizeof(QueryProgress).
     std::size_t max_queued_bytes = std::size_t{4} << 20;
   };
 
   explicit Subscription(Options options) : options_(options) {}
 
-  /// Producer side (pool worker): enqueue `frame`, the hub's
-  /// FrameFor(delivered_sequence()), and advance the cursor to its
-  /// sequence. Returns false when this call shed the subscription
-  /// (bounded-queue overflow); the queue then holds a single ERROR
-  /// frame and the subscription is dead.
-  bool Deliver(const SharedFrame& frame, NetMetrics* metrics);
+  /// Producer side (pool worker): enqueue `snapshot` and advance the
+  /// cursor to its sequence. Returns false when this call shed the
+  /// subscription (bounded-queue overflow); the queue then holds only
+  /// the shed goodbye, a null snapshot, and the subscription is dead.
+  bool Deliver(service::SnapshotPtr snapshot, NetMetrics* metrics);
 
-  /// Consumer side: pops the next wire frame (shared, not copied);
-  /// false when the queue is empty.
-  bool TryPop(FrameBytes* frame);
+  /// Consumer side: pops the next queued snapshot (shared, not
+  /// copied; null = the shed goodbye); false when the queue is empty.
+  bool TryPop(service::SnapshotPtr* snapshot);
 
   bool shed() const { return shed_.load(std::memory_order_acquire); }
-  /// Marks the subscription dead without an error frame (unsubscribe,
+  /// Marks the subscription dead without a goodbye (unsubscribe,
   /// connection drop). Idempotent.
   void Cancel();
   bool cancelled() const {
@@ -300,12 +299,11 @@ class Subscription {
   /// empty, simulating a consumer that stopped draining; deliveries
   /// keep landing, so the bounded queue sheds the subscription.
   void StallPops(int n);
-  /// Queue fully drained (shed subscriptions linger until their final
-  /// error frame has been consumed).
+  /// Queue fully drained (shed subscriptions linger until their
+  /// goodbye has been consumed).
   bool Drained() const;
 
-  /// Sequence of the last snapshot delivered: the cursor FrameFor
-  /// reads (0 before the first delivery).
+  /// Sequence of the last snapshot delivered (0 before the first).
   std::uint64_t delivered_sequence() const {
     return delivered_sequence_.load(std::memory_order_relaxed);
   }
@@ -313,7 +311,8 @@ class Subscription {
  private:
   const Options options_;
   mutable std::mutex mu_;
-  std::deque<FrameBytes> queue_;
+  std::vector<service::SnapshotPtr> queue_;  // queued: [head_, size())
+  std::size_t head_ = 0;
   std::size_t queued_bytes_ = 0;
   std::atomic<std::uint64_t> delivered_sequence_{0};
   std::atomic<bool> shed_{false};
@@ -375,8 +374,8 @@ class SubscriberPool {
   };
 
   void WorkerLoop(int worker_index);
-  /// One pass over this worker's shard: queue the shared frame for the
-  /// latest snapshot on every live subscription that has not seen it.
+  /// One pass over this worker's shard: queue the latest snapshot on
+  /// every live subscription that has not seen it.
   void SweepShard(Shard* shard, const service::SnapshotPtr& snapshot);
 
   SnapshotFanout* const fanout_;

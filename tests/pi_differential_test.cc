@@ -297,19 +297,25 @@ TEST_P(WeightScaleMetamorphicTest, DoubledWeightsAreBitIdentical) {
       auto a = pi.EstimateRemainingTime(id);
       auto b = pi2.EstimateRemainingTime(id);
       ASSERT_EQ(a.ok(), b.ok()) << "id " << id;
-      if (a.ok()) EXPECT_EQ(*a, *b) << "id " << id;
+      if (a.ok()) {
+        EXPECT_EQ(*a, *b) << "id " << id;
+      }
     }
     auto qa = pi.QuiescentEta();
     auto qb = pi2.QuiescentEta();
     ASSERT_EQ(qa.ok(), qb.ok());
-    if (qa.ok()) EXPECT_EQ(*qa, *qb) << "quiescent";
+    if (qa.ok()) {
+      EXPECT_EQ(*qa, *qb) << "quiescent";
+    }
     // Point what-ifs: block one query, ask about another.
     if (ids.size() >= 2) {
       const MultiQueryPi::WhatIf scenario{.blocked = {ids[1]}};
       auto wa = pi.EstimateWhatIf(scenario, ids[0]);
       auto wb = pi2.EstimateWhatIf(scenario, ids[0]);
       ASSERT_EQ(wa.ok(), wb.ok());
-      if (wa.ok()) EXPECT_EQ(*wa, *wb) << "what-if";
+      if (wa.ok()) {
+        EXPECT_EQ(*wa, *wb) << "what-if";
+      }
     }
   };
 

@@ -176,7 +176,9 @@ TEST_F(EventTraceTest, ProgressReportRows) {
   }
   // a: ~50 of 100 done at t=1.
   for (const auto& row : rows) {
-    if (row.id == *a) EXPECT_NEAR(row.fraction_done, 0.5, 0.1);
+    if (row.id == *a) {
+      EXPECT_NEAR(row.fraction_done, 0.5, 0.1);
+    }
   }
 }
 
