@@ -236,24 +236,6 @@ bool PublishAndDeliver(SnapshotFanout* fanout, Subscription* subscription,
   return subscription->Deliver(fanout->Latest(), metrics);
 }
 
-Frame DecodeOne(const std::string& bytes);
-
-// The server loop's push step by hand, for one TCP subscriber whose
-// view is `view`: publish `snapshot`, then take the shared frame the
-// view's sequence needs, count it as the loop does, and apply what it
-// decodes to. Returns the decoded frame.
-Frame PublishAndApply(SnapshotFanout* fanout, SnapshotView* view,
-                      const SnapshotPtr& snapshot, NetMetrics* metrics) {
-  fanout->Publish(snapshot);
-  const SharedFrame shared = fanout->FrameFor(view->sequence(), metrics);
-  metrics->CountSnapshotFrame(shared);
-  Frame frame = DecodeOne(*shared.bytes);
-  const Status applied =
-      view->Apply(std::get<SnapshotFrame>(frame.body), shared.full);
-  EXPECT_TRUE(applied.ok()) << applied.ToString();
-  return frame;
-}
-
 // The view holds exactly `snapshot`: its sequence, and every row equal
 // bit for bit.
 ::testing::AssertionResult ViewEquals(const SnapshotView& view,
@@ -286,6 +268,22 @@ Frame DecodeOne(const std::string& bytes) {
             DecodeResult::kFrame)
       << error.ToString();
   return decoded;
+}
+
+// The server loop's push step by hand, for one TCP subscriber whose
+// view is `view`: publish `snapshot`, then take the shared frame the
+// view's sequence needs, count it as the loop does, and apply what it
+// decodes to. Returns the decoded frame.
+Frame PublishAndApply(SnapshotFanout* fanout, SnapshotView* view,
+                      const SnapshotPtr& snapshot, NetMetrics* metrics) {
+  fanout->Publish(snapshot);
+  const SharedFrame shared = fanout->FrameFor(view->sequence(), metrics);
+  metrics->CountSnapshotFrame(shared);
+  Frame frame = DecodeOne(*shared.bytes);
+  const Status applied =
+      view->Apply(std::get<SnapshotFrame>(frame.body), shared.full);
+  EXPECT_TRUE(applied.ok()) << applied.ToString();
+  return frame;
 }
 
 // ---- wire round-trip property tests -----------------------------------------
@@ -677,6 +675,32 @@ TEST(SnapshotViewTest, GapInDeltaStreamIsRejected) {
   delta.total_rows = 0;
   const Status status = view.Apply(delta, /*is_full=*/false);
   EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+}
+
+// The view's Find is a binary search, so a frame whose ids are out of
+// order (or repeated) is rejected and the view keeps what it held.
+TEST(SnapshotViewTest, FrameWithIdsOutOfOrderIsRejected) {
+  SnapshotView view;
+  SnapshotFrame full;
+  full.sequence = 3;
+  full.total_rows = 2;
+  full.rows = {Row(5, 0.1), Row(7, 0.4)};
+  ASSERT_TRUE(view.Apply(full, /*is_full=*/true).ok());
+  const SnapshotPtr held = view.snapshot();
+
+  SnapshotFrame swapped = full;
+  swapped.sequence = 4;
+  swapped.rows = {Row(7, 0.5), Row(5, 0.2)};
+  EXPECT_FALSE(view.Apply(swapped, /*is_full=*/true).ok());
+  SnapshotFrame delta;
+  delta.sequence = 4;
+  delta.base_sequence = 3;
+  delta.total_rows = 3;
+  delta.rows = {Row(9, 0.0), Row(6, 0.0)};  // new ids, out of order
+  EXPECT_FALSE(view.Apply(delta, /*is_full=*/false).ok());
+  EXPECT_EQ(view.snapshot(), held);
+  EXPECT_EQ(view.fulls_applied(), 1u);
+  EXPECT_EQ(view.deltas_applied(), 0u);
 }
 
 // A subscriber following a live service through many reaps: one full
