@@ -10,19 +10,21 @@
 //                             of a build without any instrumentation
 //   BM_TracerInstant/0,1      a single instant-event record, off/on
 //   BM_TraceSpan/0,1          RAII span construct+destroy, off/on
-//   BM_AuditorObserve         one estimate observation through the
-//                             one-row path (a lock per call); every
-//                             64th ends its query, folding scoring
-//                             into the amortized figure. Ids are dense,
-//                             so the column grows one entry per query
-//   BM_AuditorBatch/2000      per row of a 2000-row live snapshot fed
-//                             under one Batch lock (the service's
-//                             path); trajectories run far past the
-//                             256-sample budget, so thinning is in it
+//   BM_AuditorRecord          one reading into a query's trajectory;
+//                             every 64th ends the query and scores it
+//                             (one auditor lock), folding scoring into
+//                             the amortized figure
+//   BM_AuditorRows/2000       per row of a 2000-row live snapshot, one
+//                             reading into each row's trajectory (the
+//                             service's row pass); trajectories run
+//                             far past the 256-sample budget, so
+//                             thinning is in it
 //
 // Run: ./bench_obs_overhead [--benchmark_filter=...]
 
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "engine/planner.h"
 #include "obs/auditor.h"
@@ -77,54 +79,51 @@ void BM_TraceSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceSpan)->Arg(0)->Arg(1);
 
-void BM_AuditorObserve(benchmark::State& state) {
+void BM_AuditorRecord(benchmark::State& state) {
   obs::EstimateAuditor auditor;
+  const std::size_t budget = auditor.options().max_samples_per_query;
+  obs::Trajectory trajectory;
+  std::size_t retained = 0;
   QueryId id = 1;
   int samples = 0;
   SimTime t = 0.0;
   for (auto _ : state) {
-    obs::EstimateObservation observation;
-    observation.id = id;
-    observation.time = t;
-    observation.eta_single = 10.0 - 0.1 * samples;
-    observation.eta_multi = 10.0 - 0.1 * samples;
-    // Every 64th observation terminates the query, folding the cost of
-    // trajectory scoring into the amortized figure.
+    const SimTime eta = 10.0 - 0.1 * samples;
+    trajectory.Record(t, eta, eta, budget, &retained);
+    // Every 64th reading ends the query, folding the cost of trajectory
+    // scoring into the amortized figure.
     if (++samples == 64) {
-      observation.terminal = true;
-      observation.finished = true;
-      observation.finish_time = t;
+      obs::QueryAccuracy report;
+      report.id = id++;
+      report.finished = true;
+      report.finish_time = t;
+      retained -= trajectory.retained();
+      benchmark::DoNotOptimize(auditor.Score(report, &trajectory));
       samples = 0;
-      ++id;
     }
-    auditor.Observe(observation);
     t += 0.1;
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_AuditorObserve);
+BENCHMARK(BM_AuditorRecord);
 
-void BM_AuditorBatch(benchmark::State& state) {
-  const auto rows = static_cast<QueryId>(state.range(0));
-  obs::EstimateAuditor auditor;
+void BM_AuditorRows(benchmark::State& state) {
+  const obs::AuditorOptions options;
+  std::vector<obs::Trajectory> rows(static_cast<std::size_t>(state.range(0)));
+  std::size_t retained = 0;
   SimTime t = 0.0;
   for (auto _ : state) {
-    obs::EstimateAuditor::Batch batch(&auditor);
-    for (QueryId id = 1; id <= rows; ++id) {
-      obs::EstimateObservation observation;
-      observation.id = id;
-      observation.time = t;
-      observation.eta_single = 1e6 - t;
-      observation.eta_multi = 1e6 - t;
-      benchmark::DoNotOptimize(batch.Observe(observation));
+    for (obs::Trajectory& trajectory : rows) {
+      trajectory.Record(t, 1e6 - t, 1e6 - t, options.max_samples_per_query,
+                        &retained);
     }
+    benchmark::ClobberMemory();
     t += 0.1;
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
-  state.counters["retained_samples"] =
-      static_cast<double>(auditor.retained_samples());
+  state.counters["retained_samples"] = static_cast<double>(retained);
 }
-BENCHMARK(BM_AuditorBatch)->Arg(2000);
+BENCHMARK(BM_AuditorRows)->Arg(2000);
 
 }  // namespace
 

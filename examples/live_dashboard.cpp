@@ -43,8 +43,8 @@ std::string Eta(double seconds) {
   return buf;
 }
 
-void RenderAccuracy(const obs::EstimateAuditor& auditor) {
-  const obs::AccuracyAggregate agg = auditor.Aggregate();
+void RenderAccuracy(service::PiService& service) {
+  const obs::AccuracyAggregate agg = service.auditor()->Aggregate();
   if (agg.queries_scored == 0) return;
   auto pct = [](double v) -> std::string {
     if (v == kUnknown) return "?";
@@ -53,10 +53,11 @@ void RenderAccuracy(const obs::EstimateAuditor& auditor) {
     return buf;
   };
   std::printf("accuracy over %llu finished: single MAPE %s | multi MAPE %s "
-              "| live %zu\n",
+              "| live %.0f\n",
               static_cast<unsigned long long>(agg.queries_scored),
               pct(agg.mean_mape_single).c_str(),
-              pct(agg.mean_mape_multi).c_str(), auditor.live_queries());
+              pct(agg.mean_mape_multi).c_str(),
+              service.metrics()->gauge("obs.auditor_queries")->value());
 }
 
 void Render(const service::ProgressSnapshot& snap) {
@@ -131,7 +132,7 @@ int main() {
   // Pure reader loop: snapshot polls only, engine never locked.
   for (int frame = 0; frame < 60 && !service.Idle(); ++frame) {
     Render(*service.snapshot());
-    RenderAccuracy(*service.auditor());
+    RenderAccuracy(service);
     std::this_thread::sleep_for(std::chrono::milliseconds(250));
   }
   service.WaitUntilIdle(/*timeout_seconds=*/120.0);

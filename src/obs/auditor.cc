@@ -29,8 +29,8 @@ EstimateAuditor::EstimateAuditor(AuditorOptions options)
 }
 
 EstimatorScore EstimateAuditor::ScoreTrajectory(
-    const std::vector<Sample>& samples, SimTime arrival, SimTime finish,
-    bool use_single) const {
+    const std::vector<Trajectory::Sample>& samples, SimTime arrival,
+    SimTime finish, bool use_single) const {
   EstimatorScore score;
   const double lifetime = std::max(finish - arrival, kTimeEpsilon);
   const double min_truth =
@@ -47,7 +47,7 @@ EstimatorScore EstimateAuditor::ScoreTrajectory(
   bool saw_violation = false;
   SimTime first_usable = kUnknown;
 
-  for (const Sample& sample : samples) {
+  for (const Trajectory::Sample& sample : samples) {
     const SimTime estimate = use_single ? sample.single : sample.multi;
     if (!UsableEstimate(estimate)) continue;
 
@@ -89,89 +89,59 @@ EstimatorScore EstimateAuditor::ScoreTrajectory(
   return score;
 }
 
-void EstimateAuditor::TrackLocked(const EstimateObservation& obs,
-                                  Trajectory* query) {
+void Trajectory::Record(SimTime time, SimTime eta_single, SimTime eta_multi,
+                        std::size_t budget, std::size_t* retained) {
   // Monotonicity: remaining time should count down between usable
-  // estimates. Counted here, on every observation, so thinning below
-  // never hides a rise.
+  // estimates. Counted here, on every reading, so thinning below never
+  // hides a rise.
   const auto count_rise = [](SimTime estimate, SimTime* last, int* rises) {
     if (!UsableEstimate(estimate)) return;
     if (*last != kUnknown && estimate > *last + 1e-6) ++*rises;
     *last = estimate;
   };
-  count_rise(obs.eta_single, &query->last_single, &query->rises_single);
-  count_rise(obs.eta_multi, &query->last_multi, &query->rises_multi);
+  count_rise(eta_single, &last_single_, &rises_single_);
+  count_rise(eta_multi, &last_multi_, &rises_multi_);
 
-  const std::uint64_t n = query->observed++;
-  if (n % query->stride != 0) return;
-  std::vector<Sample>& samples = query->samples;
-  const std::size_t budget = options_.max_samples_per_query;
-  if (samples.size() >= budget) {
+  // stride_ is a power of two: a mask, not a division, per reading.
+  const std::uint64_t n = observed_++;
+  if ((n & (stride_ - 1)) != 0) return;
+  if (samples_.size() >= budget) {
     // Over budget: keep the even positions and double the stride, then
-    // re-check this observation against the new stride.
+    // re-check this reading against the new stride.
     std::size_t kept = 0;
-    for (std::size_t i = 0; i < samples.size(); i += 2) {
-      samples[kept++] = samples[i];
+    for (std::size_t i = 0; i < samples_.size(); i += 2) {
+      samples_[kept++] = samples_[i];
     }
-    retained_samples_ -= samples.size() - kept;
-    samples.resize(kept);
-    query->stride *= 2;
-    if (n % query->stride != 0) return;
+    *retained -= samples_.size() - kept;
+    samples_.resize(kept);
+    stride_ *= 2;
+    if ((n & (stride_ - 1)) != 0) return;
   }
-  if (samples.size() == samples.capacity()) {
-    samples.reserve(std::min(budget, std::max<std::size_t>(
-                                         8, 2 * samples.capacity())));
+  if (samples_.size() == samples_.capacity()) {
+    samples_.reserve(std::min(budget, std::max<std::size_t>(
+                                          8, 2 * samples_.capacity())));
   }
-  samples.push_back(Sample{obs.time, obs.eta_single, obs.eta_multi});
-  ++retained_samples_;
+  samples_.push_back(Sample{time, eta_single, eta_multi});
+  ++*retained;
 }
 
-std::optional<QueryAccuracy> EstimateAuditor::Observe(
-    const EstimateObservation& obs) {
-  Batch batch(this);
-  return batch.Observe(obs);
-}
-
-std::optional<QueryAccuracy> EstimateAuditor::ObserveLocked(
-    const EstimateObservation& obs) {
-  if (obs.id == kInvalidQueryId) return std::nullopt;
-  if (obs.id > queries_.size()) queries_.resize(obs.id);
-  Trajectory& query = queries_[obs.id - 1];
-  if (query.tracking == Tracking::kScored) return std::nullopt;
-
-  if (!obs.terminal) {
-    if (query.tracking == Tracking::kUntracked) {
-      query.tracking = Tracking::kLive;
-      ++tracked_count_;
-    }
-    TrackLocked(obs, &query);
-    return std::nullopt;
+QueryAccuracy EstimateAuditor::Score(QueryAccuracy report,
+                                     Trajectory* trajectory) {
+  report.lifetime = report.finish_time != kUnknown
+                        ? report.finish_time - report.arrival_time
+                        : 0.0;
+  if (report.finished && report.finish_time != kUnknown &&
+      trajectory->observed_ > 0) {
+    report.single = ScoreTrajectory(trajectory->samples_, report.arrival_time,
+                                    report.finish_time, /*use_single=*/true);
+    report.single.monotonicity_violations = trajectory->rises_single_;
+    report.multi = ScoreTrajectory(trajectory->samples_, report.arrival_time,
+                                   report.finish_time, /*use_single=*/false);
+    report.multi.monotonicity_violations = trajectory->rises_multi_;
   }
+  *trajectory = Trajectory{};
 
-  // Terminal: score whatever trajectory we have and retire the query.
-  const bool tracked = query.tracking == Tracking::kLive;
-  if (tracked) --tracked_count_;
-  query.tracking = Tracking::kScored;
-  QueryAccuracy report;
-  report.id = obs.id;
-  report.priority = obs.priority;
-  report.finished = obs.finished;
-  report.arrival_time = obs.arrival_time;
-  report.finish_time = obs.finish_time;
-  report.lifetime =
-      obs.finish_time != kUnknown ? obs.finish_time - obs.arrival_time : 0.0;
-
-  if (obs.finished && obs.finish_time != kUnknown && tracked) {
-    report.single = ScoreTrajectory(query.samples, obs.arrival_time,
-                                    obs.finish_time, /*use_single=*/true);
-    report.single.monotonicity_violations = query.rises_single;
-    report.multi = ScoreTrajectory(query.samples, obs.arrival_time,
-                                   obs.finish_time, /*use_single=*/false);
-    report.multi.monotonicity_violations = query.rises_multi;
-  }
-  retained_samples_ -= query.samples.size();
-  std::vector<Sample>().swap(query.samples);
-
+  std::lock_guard<std::mutex> lock(mu_);
   if (report.finished) {
     ++queries_scored_;
     auto fold = [](const EstimatorScore& s, double* sum_mape,
@@ -248,16 +218,6 @@ AccuracyAggregate EstimateAuditor::Aggregate() const {
   return agg;
 }
 
-std::size_t EstimateAuditor::live_queries() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return tracked_count_;
-}
-
-std::size_t EstimateAuditor::retained_samples() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return retained_samples_;
-}
-
 std::string EstimateAuditor::RenderText(std::size_t max_recent) const {
   const AccuracyAggregate agg = Aggregate();
   std::string out = "estimate accuracy: " +
@@ -299,22 +259,6 @@ std::string EstimateAuditor::RenderText(std::size_t max_recent) const {
     out += buf;
   }
   return out;
-}
-
-void EstimateAuditor::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  queries_.clear();
-  tracked_count_ = 0;
-  retained_samples_ = 0;
-  completed_.clear();
-  queries_scored_ = queries_aborted_ = 0;
-  sum_mape_single_ = sum_mape_multi_ = 0.0;
-  n_mape_single_ = n_mape_multi_ = 0;
-  sum_bias_single_ = sum_bias_multi_ = 0.0;
-  mono_single_ = mono_multi_ = 0;
-  sum_conv_single_ = sum_conv_multi_ = 0.0;
-  n_conv_single_ = n_conv_multi_ = 0;
-  never_conv_single_ = never_conv_multi_ = 0;
 }
 
 }  // namespace mqpi::obs

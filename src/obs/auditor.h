@@ -2,20 +2,20 @@
 //
 // The paper's whole evaluation (§4, Figures 1-11) is about how fast the
 // remaining-time estimates r_i converge to the truth as queries run.
-// The auditor computes those quality metrics *in production*: it is fed
-// one observation per live query per published quantum (the service
-// does this from its snapshot loop, plus one terminal observation when
-// a query finishes or aborts), keeps a bounded sample of each query's
-// estimate trajectory, and when the query completes scores that sample
-// against ground truth — the query's actual remaining time at each
-// sample, known exactly once the finish time is.
+// The auditor computes those quality metrics *in production*. Each
+// live query carries a Trajectory in its owner's per-query state (the
+// service records one reading per published snapshot row, in the pass
+// that builds the row); when the query finishes or aborts, the
+// auditor scores that trajectory against ground truth — the query's
+// actual remaining time at each sample, known exactly once the finish
+// time is — and folds the report into its aggregates.
 //
 // Per query and per estimator (single-query PI vs multi-query PI) it
 // reports:
 //   - MAPE: mean |estimate - actual| / actual over scored samples,
 //   - signed bias: mean (estimate - actual) / actual (>0 = pessimistic
 //     overestimates, <0 = optimistic underestimates),
-//   - monotonicity violations: observations where the remaining-time
+//   - monotonicity violations: readings where the remaining-time
 //     estimate *rose* since the previous usable one (a perfect
 //     estimator under stationary load only ever counts down; rises mark
 //     load changes the estimator did not anticipate — Figures 6-7),
@@ -24,41 +24,35 @@
 //     trust it" question), also expressed as a fraction of the query's
 //     lifetime (0 = trustworthy immediately, unknown = never settled).
 //
-// Bounded trajectories. A live query retains at most
-// `max_samples_per_query` samples however long it runs: it keeps every
-// `stride`-th observation, and when one more would exceed the budget
-// it drops the odd positions and doubles `stride`, so the kept samples
-// stay uniform in time. A trajectory that fits the budget keeps every
-// observation and scores exactly as an unbounded one would; a longer
+// Bounded trajectories. A trajectory retains at most
+// `max_samples_per_query` samples however long its query runs: it
+// keeps every `stride`-th reading, and when one more would exceed the
+// budget it drops the odd positions and doubles `stride`, so the kept
+// samples stay uniform in time. A trajectory that fits the budget keeps
+// every reading and scores exactly as an unbounded one would; a longer
 // one scores MAPE, bias and convergence on its uniform thinning. Its
 // convergence is never more than one stride later than the full
 // trajectory's, but may be earlier: a late band violation that falls
 // between kept samples goes unseen. Monotonicity is counted on the
-// full stream as observations arrive — it needs only the previous
-// usable estimate — so thinning never changes it.
+// full stream as readings arrive — it needs only the previous usable
+// estimate — so thinning never changes it.
 //
-// Memory is O(tracked ids) small entries plus O(live × budget) samples;
-// a scored query frees its samples. Rolling aggregates over every
-// scored query are maintained as running sums, so Aggregate() reflects
-// the full history even though only the most recent `retain_completed`
-// per-query reports are kept.
+// Memory is O(live × budget) samples, held by the trajectories;
+// scoring frees them. Rolling aggregates over every scored query are
+// maintained as running sums, so Aggregate() reflects the full history
+// even though only the most recent `retain_completed` per-query
+// reports are kept.
 //
-// Ids. Per-query state lives in one column indexed by `id - 1`, so ids
-// must be dense from 1 — the record ids `PiService` (and each shard's
-// service) assigns. A sparse id space (for example global shard ids)
-// would size the column by its largest id.
-//
-// Thread-safety: fully internally locked. One writer (the service's
-// stepping thread) calls Observe() or fills a Batch, which holds the
-// lock for a whole snapshot; any number of reader threads may call
-// Completed()/ReportFor()/Aggregate()/RenderText() concurrently — the
-// TSan stress test drives exactly that pattern.
+// Thread-safety: a Trajectory belongs to its owner's lock. The auditor
+// is internally locked: one writer calls Score(), and any number of
+// reader threads may call Completed()/ReportFor()/Aggregate()/
+// RenderText() concurrently — the TSan stress test drives exactly that
+// pattern.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,24 +61,6 @@
 #include "common/units.h"
 
 namespace mqpi::obs {
-
-/// One per-quantum estimate reading for one query, as published in a
-/// ProgressSnapshot. Estimates are *remaining seconds* from `time`;
-/// kUnknown / kInfiniteTime readings are carried through and skipped
-/// where truth comparison is impossible.
-struct EstimateObservation {
-  QueryId id = kInvalidQueryId;
-  SimTime time = 0.0;
-  SimTime eta_single = kUnknown;
-  SimTime eta_multi = kUnknown;
-  Priority priority = Priority::kNormal;
-  SimTime arrival_time = 0.0;
-  /// Terminal transition: set on the first observation in which the
-  /// query is finished or aborted; triggers scoring.
-  bool terminal = false;
-  bool finished = false;           // vs aborted; valid when terminal
-  SimTime finish_time = kUnknown;  // valid when terminal
-};
 
 /// Accuracy of one estimator over one completed query.
 struct EstimatorScore {
@@ -135,10 +111,10 @@ inline constexpr double kMinTruthFraction = 0.02;
 
 struct AuditorOptions {
   /// Sample budget per live query. A trajectory keeps every
-  /// `stride`-th observation; past the budget it halves itself (even
+  /// `stride`-th reading; past the budget it halves itself (even
   /// positions kept) and doubles `stride`, so a query of any length
   /// holds at most this many samples, spread uniformly over its life.
-  /// Trajectories within the budget are scored on every observation.
+  /// Trajectories within the budget are scored on every reading.
   /// Values below 1 are treated as 1.
   std::size_t max_samples_per_query = 256;
   /// Completed per-query reports retained for ReportFor()/Completed().
@@ -154,38 +130,53 @@ struct AuditorOptions {
   double truth_resolution = 0.0;
 };
 
+/// One query's bounded estimate trajectory: its published readings,
+/// thinned to the sample budget, plus the streaming rise counts. Owned
+/// by the caller's per-query state until EstimateAuditor::Score.
+class Trajectory {
+ public:
+  /// Records the remaining-time estimates published at `time`, keeping
+  /// at most `budget` samples (>= 1); `*retained` tracks the caller's
+  /// total of retained samples across trajectories.
+  void Record(SimTime time, SimTime eta_single, SimTime eta_multi,
+              std::size_t budget, std::size_t* retained);
+
+  /// Readings recorded so far, kept or thinned.
+  std::uint64_t observed() const { return observed_; }
+  /// Samples held now.
+  std::size_t retained() const { return samples_.size(); }
+
+ private:
+  friend class EstimateAuditor;
+  struct Sample {
+    SimTime time = 0.0;
+    SimTime single = kUnknown;
+    SimTime multi = kUnknown;
+  };
+
+  /// Every `stride_`-th reading; at most the budget.
+  std::vector<Sample> samples_;
+  std::uint64_t observed_ = 0;
+  std::uint32_t stride_ = 1;
+  // Streaming monotonicity: the last usable estimate per estimator and
+  // the rises counted over every reading.
+  int rises_single_ = 0;
+  int rises_multi_ = 0;
+  SimTime last_single_ = kUnknown;
+  SimTime last_multi_ = kUnknown;
+};
+
 class EstimateAuditor {
  public:
   explicit EstimateAuditor(AuditorOptions options = {});
 
-  /// Holds the auditor's lock for a run of observations — one published
-  /// snapshot — so feeding N rows costs one lock, not N.
-  class Batch {
-   public:
-    explicit Batch(EstimateAuditor* auditor)
-        : auditor_(auditor), lock_(auditor->mu_) {}
-    Batch(const Batch&) = delete;
-    Batch& operator=(const Batch&) = delete;
-
-    /// See EstimateAuditor::Observe.
-    std::optional<QueryAccuracy> Observe(const EstimateObservation& obs) {
-      return auditor_->ObserveLocked(obs);
-    }
-    /// Samples retained across all live trajectories.
-    std::size_t retained_samples() const {
-      return auditor_->retained_samples_;
-    }
-
-   private:
-    EstimateAuditor* auditor_;
-    std::lock_guard<std::mutex> lock_;
-  };
-
-  /// Feeds one observation (a one-row Batch). On the first terminal
-  /// observation of a query, scores its trajectory and returns the
-  /// completed record (callers use this to publish metrics); returns
-  /// nullopt otherwise, and for every later observation of that id.
-  std::optional<QueryAccuracy> Observe(const EstimateObservation& obs);
+  /// Scores a terminal query once: `report` carries its id, priority,
+  /// outcome (`finished`), arrival and finish time; its lifetime and
+  /// scores are filled from `*trajectory` (a finished query with
+  /// readings gets scores, an aborted one only counts). Folds the
+  /// report into the aggregates and the completed reports, resets
+  /// `*trajectory` (freeing its samples) and returns the report.
+  QueryAccuracy Score(QueryAccuracy report, Trajectory* trajectory);
 
   /// Most recent completed reports, oldest first (bounded).
   std::vector<QueryAccuracy> Completed() const;
@@ -199,50 +190,16 @@ class EstimateAuditor {
   /// lines (the shell's `accuracy` command).
   std::string RenderText(std::size_t max_recent = 10) const;
 
-  /// Queries currently being tracked (live, not yet terminal).
-  std::size_t live_queries() const;
-
-  /// Samples retained across all live trajectories.
-  std::size_t retained_samples() const;
-
-  void Clear();
-
   const AuditorOptions& options() const { return options_; }
 
  private:
-  struct Sample {
-    SimTime time = 0.0;
-    SimTime single = kUnknown;
-    SimTime multi = kUnknown;
-  };
-  enum class Tracking : std::uint8_t { kUntracked, kLive, kScored };
-  /// One query's column entry.
-  struct Trajectory {
-    /// Every `stride`-th non-terminal observation; at most the budget.
-    std::vector<Sample> samples;
-    std::uint64_t observed = 0;  // non-terminal observations so far
-    std::uint32_t stride = 1;
-    Tracking tracking = Tracking::kUntracked;
-    // Streaming monotonicity: the last usable estimate per estimator
-    // and the rises counted over every observation.
-    int rises_single = 0;
-    int rises_multi = 0;
-    SimTime last_single = kUnknown;
-    SimTime last_multi = kUnknown;
-  };
-
-  std::optional<QueryAccuracy> ObserveLocked(const EstimateObservation& obs);
-  void TrackLocked(const EstimateObservation& obs, Trajectory* query);
   /// Scores `samples` against the truth; monotonicity is the caller's.
-  EstimatorScore ScoreTrajectory(const std::vector<Sample>& samples,
-                                 SimTime arrival, SimTime finish,
-                                 bool use_single) const;
+  EstimatorScore ScoreTrajectory(
+      const std::vector<Trajectory::Sample>& samples, SimTime arrival,
+      SimTime finish, bool use_single) const;
 
   AuditorOptions options_;
   mutable std::mutex mu_;
-  std::vector<Trajectory> queries_;  // index id - 1
-  std::size_t tracked_count_ = 0;  // entries in Tracking::kLive
-  std::size_t retained_samples_ = 0;  // over live trajectories
   std::deque<QueryAccuracy> completed_;
 
   // Running aggregate sums (scored queries only).

@@ -104,14 +104,15 @@ class MultiQueryPi {
   /// kInfiniteTime if blocked or unbounded).
   Result<SimTime> EstimateRemainingTime(QueryId id) const;
 
-  /// Same, for a caller that already holds the query's info — the
-  /// batched path used by PiManager's report and sampling loops (no
-  /// per-call Rdbms::info lookup). When the closed form can express
-  /// the load (see the header comment), a running query's estimate is
-  /// an O(1) read of the key's stage sweep with no simulation at all;
-  /// otherwise it falls back to the (memoized) analytic simulator. The
-  /// split is observable via incremental_fast_path() /
-  /// incremental_fallback().
+  /// Same, for a caller that already holds the query's info (no
+  /// per-call Rdbms::info lookup) — PiManager's report and sampling
+  /// loops, and the service snapshot's rows that the batch below does
+  /// not cover (queued rows, and every row when it is unavailable).
+  /// When the closed form can express the load (see the header
+  /// comment), a running query's estimate is an O(1) read of the key's
+  /// stage sweep with no simulation at all; otherwise it falls back to
+  /// the (memoized) analytic simulator. The split is observable via
+  /// incremental_fast_path() / incremental_fallback().
   Result<SimTime> EstimateRemainingTime(const sched::QueryInfo& info) const;
 
   /// Estimated time until the system quiesces (last tracked query
@@ -145,9 +146,9 @@ class MultiQueryPi {
   /// scenarios walks the Rdbms query tables once per epoch, not once
   /// per scenario.
   struct WhatIf {
-    std::vector<QueryId> blocked;
-    std::vector<QueryId> aborted;
-    std::vector<std::pair<QueryId, double>> reweighted;
+    std::vector<QueryId> blocked{};
+    std::vector<QueryId> aborted{};
+    std::vector<std::pair<QueryId, double>> reweighted{};
   };
   Result<ForecastResult> ForecastWhatIf(const WhatIf& scenario) const;
 

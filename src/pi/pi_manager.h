@@ -43,7 +43,7 @@ struct PiManagerOptions {
   /// Also maintain a queue-blind multi-query PI for comparison.
   bool record_queue_blind_variant = false;
   /// Configuration of the primary multi-query PI.
-  MultiQueryPiOptions multi;
+  MultiQueryPiOptions multi{};
   /// Sliding-window span for single-query speed samples (seconds).
   SimTime single_speed_window = 2.0;
 };

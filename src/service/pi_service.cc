@@ -63,14 +63,9 @@ std::vector<double> BiasBounds() {
 }  // namespace
 
 template <typename T, typename Lookup>
-T* PiService::Cached(std::atomic<T*>* slot, Lookup lookup) {
-  T* instrument = slot->load();
-  if (instrument == nullptr) {
-    // Racing resolvers get the same series back from the registry.
-    instrument = lookup();
-    slot->store(instrument);
-  }
-  return instrument;
+T* PiService::Cached(T** slot, Lookup lookup) {
+  if (*slot == nullptr) *slot = lookup();
+  return *slot;
 }
 
 PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
@@ -112,8 +107,8 @@ PiService::PiService(const storage::Catalog* catalog, PiServiceOptions options)
         }
         // The row's retention window opens at its finish time.
         retiring_.emplace_back(event.info.finish_time, event.info.id);
-        // The auditor scores a query once, from the first fed snapshot
-        // after this transition; rows already terminal are never fed.
+        // The auditor scores a query once, in the first audited build
+        // after this transition; rows already terminal are not sampled.
         if (options_.enable_auditor) {
           auditor_terminal_pending_.push_back(event.info.id);
         }
@@ -469,8 +464,6 @@ void PiService::StepAndPublish(SimTime dt) {
   obs::TraceSpan span(tracer_, "service", "step_and_publish");
   const auto start = WallClock::now();
   std::shared_ptr<ProgressSnapshot> snapshot;
-  // Fed to the auditor with `snapshot`.
-  std::vector<obs::EstimateObservation> terminal;
   bool delayed = false;
   {
     std::lock_guard<std::mutex> lock(state_mu_);
@@ -486,7 +479,9 @@ void PiService::StepAndPublish(SimTime dt) {
     delayed = fault_ != nullptr && fault_->enabled() &&
               fault_->ShouldFire(fault::kServicePublishDelay);
     if (!delayed) {
-      snapshot = BuildSnapshotLocked();
+      // Stale re-publications are never audited: sampling the same
+      // estimates twice would double-count trajectory samples.
+      snapshot = BuildSnapshotLocked(options_.enable_auditor);
       Cached(&running_gauge_, [&] {
         return metrics_.gauge("queries.running");
       })->Set(snapshot->num_running);
@@ -499,9 +494,8 @@ void PiService::StepAndPublish(SimTime dt) {
       Cached(&sim_time_gauge_, [&] {
         return metrics_.gauge("service.sim_time");
       })->Set(snapshot->sim_time);
-      // Only a fed snapshot takes the pending terminal ids; a delayed
+      // Only an audited build scores the pending terminal ids; a delayed
       // quantum leaves them (and their records) for the next one.
-      terminal = TakeTerminalObservationsLocked();
       ReapExpiredLocked();
     }
     if (fault_ != nullptr) RecordFaultFiresLocked();
@@ -514,9 +508,6 @@ void PiService::StepAndPublish(SimTime dt) {
   } else {
     span.arg("t", snapshot->sim_time);
     span.arg("queries", static_cast<double>(snapshot->queries.size()));
-    // Stale re-publications never reach the auditor — scoring the same
-    // estimates twice would double-count trajectory samples.
-    if (options_.enable_auditor) FeedAuditor(*snapshot, terminal);
     Publish(std::move(snapshot));
   }
   quanta_stepped_->Increment();
@@ -555,66 +546,27 @@ void PiService::PublishStaleCopy() {
   if (degraded) flight_.Trigger("degraded_publish");
 }
 
-std::vector<obs::EstimateObservation>
-PiService::TakeTerminalObservationsLocked() {
-  std::vector<obs::EstimateObservation> out;
-  if (auditor_terminal_pending_.empty()) return out;
+void PiService::ScoreTerminalLocked() {
+  if (auditor_terminal_pending_.empty()) return;
   // Id order, as the rows are: reports fold into the running sums in
   // the order a full row scan would produce.
   std::sort(auditor_terminal_pending_.begin(),
             auditor_terminal_pending_.end());
-  out.reserve(auditor_terminal_pending_.size());
-  const SimTime now = db_->now();
-  // The fields a terminal snapshot row carries (ETAs published as 0),
-  // read from the record: the row itself may already have left the
+  // The record, not the row: the row may already have left the
   // snapshots when publication was delayed past the retention window.
   db_->VisitEach(auditor_terminal_pending_, [&](const sched::QueryInfo& info) {
-    obs::EstimateObservation observation;
-    observation.id = info.id;
-    observation.time = now;
-    observation.eta_single = 0.0;
-    observation.eta_multi = 0.0;
-    observation.priority = info.priority;
-    observation.arrival_time = info.arrival_time;
-    observation.terminal = true;
-    observation.finished = info.state == sched::QueryState::kFinished;
-    observation.finish_time = info.finish_time;
-    out.push_back(observation);
+    obs::Trajectory& trajectory = queries_[info.id - 1].trajectory;
+    audited_queries_ -= trajectory.observed() > 0 ? 1 : 0;
+    auditor_samples_ -= trajectory.retained();
+    obs::QueryAccuracy report;
+    report.id = info.id;
+    report.priority = info.priority;
+    report.finished = info.state == sched::QueryState::kFinished;
+    report.arrival_time = info.arrival_time;
+    report.finish_time = info.finish_time;
+    RecordAccuracyMetrics(auditor_.Score(report, &trajectory));
   });
   auditor_terminal_pending_.clear();
-  return out;
-}
-
-void PiService::FeedAuditor(
-    const ProgressSnapshot& snapshot,
-    const std::vector<obs::EstimateObservation>& terminal) {
-  MQPI_PROF_SITE(prof, "service.feed_auditor");
-  std::vector<obs::QueryAccuracy> reports;
-  std::size_t retained = 0;
-  {
-    obs::EstimateAuditor::Batch batch(&auditor_);
-    for (const QueryProgress& query : snapshot.queries) {
-      if (query.terminal()) continue;
-      obs::EstimateObservation observation;
-      observation.id = query.id;
-      observation.time = snapshot.sim_time;
-      observation.eta_single = query.eta_single;
-      observation.eta_multi = query.eta_multi;
-      observation.priority = query.priority;
-      observation.arrival_time = query.arrival_time;
-      observation.finish_time = query.finish_time;
-      batch.Observe(observation);
-    }
-    for (const obs::EstimateObservation& observation : terminal) {
-      auto report = batch.Observe(observation);
-      if (report.has_value()) reports.push_back(std::move(*report));
-    }
-    retained = batch.retained_samples();
-  }
-  auditor_samples_gauge_->Set(static_cast<double>(retained));
-  for (const obs::QueryAccuracy& report : reports) {
-    RecordAccuracyMetrics(report);
-  }
 }
 
 void PiService::RecordAccuracyMetrics(const obs::QueryAccuracy& report) {
@@ -661,7 +613,9 @@ void PiService::ExpireTerminalLocked() {
        ++closed) {
     const QueryId id = retiring_[closed].second;
     ServedQuery& served = queries_[id - 1];
+    obs::Trajectory trajectory = std::move(served.trajectory);
     served = ServedQuery{};
+    served.trajectory = std::move(trajectory);
     served.reaped = true;
     expired_.push_back(id);
   }
@@ -680,7 +634,7 @@ void PiService::ReapExpiredLocked() {
   expired_.clear();
 }
 
-std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() {
+std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked(bool audit) {
   MQPI_PROF_SITE(prof, "service.build_snapshot");
   ExpireTerminalLocked();
   auto snapshot = std::make_shared<ProgressSnapshot>();
@@ -694,7 +648,20 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() {
   // snapshot still costs at most one simulation per epoch either way.
   const pi::BatchEstimateKernel* batch =
       multi_.EstimateAllRunning().value_or(nullptr);
-  snapshot->quiescent_eta = multi_.QuiescentEta().value_or(kUnknown);
+  const Result<SimTime> quiescent = multi_.QuiescentEta();
+  snapshot->quiescent_eta = quiescent.value_or(kUnknown);
+  // Which estimator served the snapshot: exactly one series reads 1.
+  const int path = batch != nullptr ? 0 : quiescent.ok() ? 1 : 2;
+  static constexpr const char* kPathNames[] = {"sweep", "simulator", "failed"};
+  for (int i = 0; i < 3; ++i) {
+    if (i == path) {
+      Cached(&estimator_path_[i], [&] {
+        return metrics_.gauge("pi.estimator_path", {{"path", kPathNames[i]}});
+      })->Set(1.0);
+    } else if (estimator_path_[i] != nullptr) {
+      estimator_path_[i]->Set(0.0);
+    }
+  }
 
   // Publication guardrail: an ETA reaches readers as a finite,
   // non-negative, within-horizon number or as one of the two honest
@@ -796,6 +763,26 @@ std::shared_ptr<ProgressSnapshot> PiService::BuildSnapshotLocked() {
   Cached(&rate_ratio_gauge_, [&] {
     return metrics_.gauge("pi.rate_ratio");
   })->Set(configured > 0.0 ? snapshot->measured_rate / configured : 0.0);
+  if (audit) {
+    // Each live row's published ETAs join its trajectory. A loop of its
+    // own rather than a step of the row pass: each trajectory's tail is
+    // a cold line, and one cold store per row stalls that store-heavy
+    // pass, while this short loop overlaps the misses (bench_quantum,
+    // all running: faster at 2000 and at 20 000 rows).
+    const std::size_t budget = auditor_.options().max_samples_per_query;
+    for (const QueryProgress& query : snapshot->queries) {
+      if (query.terminal()) continue;
+      obs::Trajectory& trajectory = queries_[query.id - 1].trajectory;
+      audited_queries_ += trajectory.observed() == 0 ? 1 : 0;
+      trajectory.Record(snapshot->sim_time, query.eta_single, query.eta_multi,
+                        budget, &auditor_samples_);
+    }
+    ScoreTerminalLocked();
+    auditor_samples_gauge_->Set(static_cast<double>(auditor_samples_));
+    Cached(&auditor_queries_gauge_, [&] {
+      return metrics_.gauge("obs.auditor_queries");
+    })->Set(static_cast<double>(audited_queries_));
+  }
   return snapshot;
 }
 
@@ -870,7 +857,7 @@ void PiService::PublishNow() {
       event.kind = recover::EventKind::kPublish;
       AppendEventLocked(event);
     }
-    snapshot = BuildSnapshotLocked();
+    snapshot = BuildSnapshotLocked(/*audit=*/false);
   }
   Publish(std::move(snapshot));
 }
@@ -882,7 +869,7 @@ SnapshotPtr PiService::BuildUnpublishedSnapshot() {
     event.kind = recover::EventKind::kProbe;
     AppendEventLocked(event);
   }
-  return BuildSnapshotLocked();
+  return BuildSnapshotLocked(/*audit=*/false);
 }
 
 // ---- graceful drain ---------------------------------------------------------

@@ -19,6 +19,12 @@
 // (after the auditor has scored it) its Rdbms record is reaped, so a
 // quantum costs O(live + retained), not O(queries ever submitted).
 //
+// Accuracy audit: each column entry also carries the query's estimate
+// trajectory (obs::Trajectory). Building a fresh snapshot for
+// StepAndPublish records every live row's published ETAs in it, then
+// hands each query that went terminal since the last such build to the
+// auditor for scoring, in id order.
+//
 // Thread-safety contract:
 //   - All engine and PI state is guarded by one internal mutex
 //     (`state_mu_`); session control calls (Submit/Block/Resume/Abort/
@@ -127,12 +133,12 @@ struct PiServiceOptions {
   /// arrival that finds its session at the cap when it falls due is
   /// dropped. Both count in `service.submit_rejected`. 0 = unlimited.
   std::uint64_t max_inflight_per_session = 0;
-  /// Feed every stepped snapshot's live rows to the estimate auditor
-  /// (one lock per snapshot), plus each query once more when it
-  /// finishes or aborts, and publish labeled accuracy metrics
-  /// (pi.estimate_mape, pi.estimate_bias, pi.monotonicity_violations)
-  /// as queries complete. Auditor memory is O(live queries × the
-  /// per-query sample budget), independent of how long queries run.
+  /// Record every stepped snapshot's live rows in their queries'
+  /// trajectories, score each query once after it finishes or aborts,
+  /// and publish labeled accuracy metrics (pi.estimate_mape,
+  /// pi.estimate_bias, pi.monotonicity_violations) as queries
+  /// complete. Trajectory memory is O(live queries × the per-query
+  /// sample budget), independent of how long queries run.
   bool enable_auditor = true;
   /// Auditor tuning: per-query sample budget, convergence band, truth
   /// cutoff.
@@ -398,26 +404,24 @@ class PiService {
   // snapshot with `age_quanta` bumped and the degraded flag applied
   // past the staleness threshold.
   void PublishStaleCopy();
-  // Feeds a freshly built snapshot to the auditor under one auditor
-  // lock: every non-terminal row, plus `terminal` (one observation per
-  // query that went terminal since the last fed snapshot, in id
-  // order). Then publishes accuracy metrics for the queries just
-  // scored. Called after state_mu_ is released.
-  void FeedAuditor(const ProgressSnapshot& snapshot,
-                   const std::vector<obs::EstimateObservation>& terminal);
+  // Requires state_mu_. Scores every query that went terminal since
+  // the last audited build, once each and in id order, from its record
+  // (which outlives the retention window until this has run) and its
+  // trajectory, and publishes the accuracy metrics.
+  void ScoreTerminalLocked();
   void RecordAccuracyMetrics(const obs::QueryAccuracy& report);
-  // Requires state_mu_. Takes the pending terminal ids as observations
-  // at the current time, read from their records (which outlive the
-  // retention window until this has run).
-  std::vector<obs::EstimateObservation> TakeTerminalObservationsLocked();
   // Requires state_mu_. Drops from visible_ every terminal query whose
   // retention window has closed by now, and clears its column entry.
   void ExpireTerminalLocked();
   // Requires state_mu_. Frees the Rdbms records of expired queries;
-  // runs only once the auditor has taken their terminal observations.
+  // runs only once the auditor has scored them.
   void ReapExpiredLocked();
-  // Requires state_mu_.
-  std::shared_ptr<ProgressSnapshot> BuildSnapshotLocked();
+  // Requires state_mu_. `audit`: this is a fresh snapshot that
+  // StepAndPublish publishes with the auditor on, so the build records
+  // each live row's published ETAs and then scores the pending
+  // terminal queries. Other builds (PublishNow, probes) do neither, so
+  // they leave the accuracy outputs unchanged.
+  std::shared_ptr<ProgressSnapshot> BuildSnapshotLocked(bool audit);
   void Publish(std::shared_ptr<ProgressSnapshot> snapshot);
   // Requires state_mu_. Appends to the journal when a sink is
   // attached; no-op otherwise.
@@ -459,6 +463,10 @@ class PiService {
     pi::SingleQueryPi single{kInvalidQueryId};
     SimTime last_good_single = kUnknown;
     SimTime last_good_multi = kUnknown;
+    /// Published ETAs of the audited builds while the query was live.
+    /// Expiry keeps it: the scoring build may come after the window
+    /// closes when publication is delayed; scoring empties it.
+    obs::Trajectory trajectory{};
     bool reaped = false;
   };
   std::vector<ServedQuery> queries_;
@@ -476,9 +484,12 @@ class PiService {
       arrivals_;
   std::unordered_map<std::uint64_t, SessionState> sessions_;
   std::uint64_t next_session_id_ = 1;
-  /// Ids that finished or aborted since the last snapshot fed to the
-  /// auditor (filled by the event listener; empty when it is off).
+  /// Ids that finished or aborted since the last audited build
+  /// (filled by the event listener; empty when the auditor is off).
   std::vector<QueryId> auditor_terminal_pending_;
+  /// Trajectories holding readings, and their samples, over the column.
+  std::size_t audited_queries_ = 0;
+  std::size_t auditor_samples_ = 0;
   /// The attached journal (guarded by state_mu_; appends happen under
   /// it, in mutation order).
   recover::EventSink* event_sink_ = nullptr;
@@ -523,28 +534,31 @@ class PiService {
 
   MetricsRegistry metrics_;
   // Hot-path instruments resolved on first use, so a series appears in
-  // the exposition only once it has something to say. Atomic because
-  // accuracy metrics are recorded outside state_mu_.
+  // the exposition only once it has something to say. Resolved and
+  // used under state_mu_.
   template <typename T, typename Lookup>
-  static T* Cached(std::atomic<T*>* slot, Lookup lookup);
-  std::atomic<Counter*> admitted_{nullptr};
-  std::atomic<Counter*> finished_{nullptr};
-  std::atomic<Counter*> aborted_{nullptr};
-  std::atomic<Counter*> submits_{nullptr};
-  std::atomic<Gauge*> running_gauge_{nullptr};
-  std::atomic<Gauge*> queued_gauge_{nullptr};
-  std::atomic<Gauge*> blocked_gauge_{nullptr};
-  std::atomic<Gauge*> sim_time_gauge_{nullptr};
-  std::atomic<Gauge*> retained_queries_gauge_{nullptr};
-  std::atomic<Gauge*> rate_ratio_gauge_{nullptr};
+  static T* Cached(T** slot, Lookup lookup);
+  Counter* admitted_ = nullptr;
+  Counter* finished_ = nullptr;
+  Counter* aborted_ = nullptr;
+  Counter* submits_ = nullptr;
+  Gauge* running_gauge_ = nullptr;
+  Gauge* queued_gauge_ = nullptr;
+  Gauge* blocked_gauge_ = nullptr;
+  Gauge* sim_time_gauge_ = nullptr;
+  Gauge* retained_queries_gauge_ = nullptr;
+  Gauge* rate_ratio_gauge_ = nullptr;
+  Gauge* auditor_queries_gauge_ = nullptr;
+  /// pi.estimator_path{path}: sweep, simulator, failed.
+  Gauge* estimator_path_[3] = {nullptr, nullptr, nullptr};
   /// Accuracy instruments, [estimator: single, multi][priority].
   struct AccuracyInstruments {
-    std::atomic<Histogram*> mape{nullptr};
-    std::atomic<Histogram*> bias{nullptr};
+    Histogram* mape = nullptr;
+    Histogram* bias = nullptr;
   };
   AccuracyInstruments accuracy_[2][kNumPriorities];
-  std::atomic<Counter*> monotonicity_[2] = {nullptr, nullptr};
-  std::atomic<Counter*> queries_scored_{nullptr};
+  Counter* monotonicity_[2] = {nullptr, nullptr};
+  Counter* queries_scored_ = nullptr;
   // Hot-path instruments, resolved once.
   Counter* quanta_stepped_;
   Counter* snapshots_published_;

@@ -6,9 +6,11 @@
 // the whole suite carries the "sanitize" label.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <regex>
 #include <sstream>
@@ -167,52 +169,53 @@ TEST(TracerTest, StripedRecordingFromManyThreads) {
 
 // ---- auditor: closed-form trajectories --------------------------------------
 
-EstimateObservation Sample(QueryId id, SimTime t, SimTime single,
-                           SimTime multi) {
-  EstimateObservation obs;
-  obs.id = id;
-  obs.time = t;
-  obs.eta_single = single;
-  obs.eta_multi = multi;
-  return obs;
-}
+// One query's trajectory fed under its auditor's sample budget.
+struct Query {
+  explicit Query(const EstimateAuditor& auditor)
+      : budget(auditor.options().max_samples_per_query) {}
+  void Sample(SimTime t, SimTime single, SimTime multi) {
+    trajectory.Record(t, single, multi, budget, &retained);
+  }
+  std::size_t budget;
+  std::size_t retained = 0;
+  Trajectory trajectory;
+};
 
-EstimateObservation Terminal(QueryId id, SimTime finish, bool finished) {
-  EstimateObservation obs;
-  obs.id = id;
-  obs.time = finish;
-  obs.terminal = true;
-  obs.finished = finished;
-  obs.finish_time = finish;
-  return obs;
+// A query that arrived at 0 and finished or aborted at `finish`.
+QueryAccuracy Terminal(QueryId id, SimTime finish, bool finished) {
+  QueryAccuracy report;
+  report.id = id;
+  report.finished = finished;
+  report.finish_time = finish;
+  return report;
 }
 
 TEST(AuditorTest, ExactEstimatorScoresZeroErrorBiasedOneScoresItsBias) {
   EstimateAuditor auditor;
+  Query query(auditor);
   // Query 1: arrival 0, finish 10. The multi estimate is exact
   // (10 - t); the single estimate is always double the truth.
   for (int t = 1; t <= 9; ++t) {
     const double truth = 10.0 - t;
-    ASSERT_FALSE(
-        auditor.Observe(Sample(1, t, 2.0 * truth, truth)).has_value());
+    query.Sample(t, 2.0 * truth, truth);
   }
-  auto report = auditor.Observe(Terminal(1, 10.0, /*finished=*/true));
-  ASSERT_TRUE(report.has_value());
-  EXPECT_TRUE(report->finished);
-  EXPECT_DOUBLE_EQ(report->lifetime, 10.0);
+  const QueryAccuracy report =
+      auditor.Score(Terminal(1, 10.0, /*finished=*/true), &query.trajectory);
+  EXPECT_TRUE(report.finished);
+  EXPECT_DOUBLE_EQ(report.lifetime, 10.0);
 
-  EXPECT_EQ(report->multi.samples, 9);
-  EXPECT_NEAR(report->multi.mape, 0.0, 1e-12);
-  EXPECT_NEAR(report->multi.bias, 0.0, 1e-12);
-  EXPECT_EQ(report->multi.monotonicity_violations, 0);
+  EXPECT_EQ(report.multi.samples, 9);
+  EXPECT_NEAR(report.multi.mape, 0.0, 1e-12);
+  EXPECT_NEAR(report.multi.bias, 0.0, 1e-12);
+  EXPECT_EQ(report.multi.monotonicity_violations, 0);
   // Exact from the first sample: converged at t=1, 10% of lifetime.
-  EXPECT_DOUBLE_EQ(report->multi.converged_at, 1.0);
-  EXPECT_NEAR(report->multi.converged_fraction, 0.1, 1e-12);
+  EXPECT_DOUBLE_EQ(report.multi.converged_at, 1.0);
+  EXPECT_NEAR(report.multi.converged_fraction, 0.1, 1e-12);
 
-  EXPECT_NEAR(report->single.mape, 1.0, 1e-12);  // always +100% off
-  EXPECT_NEAR(report->single.bias, 1.0, 1e-12);  // pessimistic
-  EXPECT_EQ(report->single.converged_at, kUnknown);
-  EXPECT_EQ(report->single.converged_fraction, kUnknown);
+  EXPECT_NEAR(report.single.mape, 1.0, 1e-12);  // always +100% off
+  EXPECT_NEAR(report.single.bias, 1.0, 1e-12);  // pessimistic
+  EXPECT_EQ(report.single.converged_at, kUnknown);
+  EXPECT_EQ(report.single.converged_fraction, kUnknown);
 
   const AccuracyAggregate agg = auditor.Aggregate();
   EXPECT_EQ(agg.queries_scored, 1u);
@@ -222,46 +225,49 @@ TEST(AuditorTest, ExactEstimatorScoresZeroErrorBiasedOneScoresItsBias) {
 
 TEST(AuditorTest, MonotonicityViolationsCountRises) {
   EstimateAuditor auditor;
+  Query query(auditor);
   // Remaining-time readings that rise twice: 8 -> 9 (violation) and
   // 5 -> 7 (violation); the in-between declines are fine.
   const double readings[] = {8.0, 9.0, 6.0, 5.0, 7.0, 3.0};
   double t = 1.0;
   for (double reading : readings) {
-    auditor.Observe(Sample(2, t, reading, reading));
+    query.Sample(t, reading, reading);
     t += 1.0;
   }
-  auto report = auditor.Observe(Terminal(2, 10.0, /*finished=*/true));
-  ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(report->single.monotonicity_violations, 2);
-  EXPECT_EQ(report->multi.monotonicity_violations, 2);
+  const QueryAccuracy report =
+      auditor.Score(Terminal(2, 10.0, /*finished=*/true), &query.trajectory);
+  EXPECT_EQ(report.single.monotonicity_violations, 2);
+  EXPECT_EQ(report.multi.monotonicity_violations, 2);
 }
 
 TEST(AuditorTest, AbortedQueriesAreCountedNotScored) {
   EstimateAuditor auditor;
-  auditor.Observe(Sample(3, 1.0, 4.0, 4.0));
-  auto report = auditor.Observe(Terminal(3, 2.0, /*finished=*/false));
-  ASSERT_TRUE(report.has_value());
-  EXPECT_FALSE(report->finished);
-  EXPECT_EQ(report->single.samples, 0);
-  EXPECT_EQ(report->multi.mape, kUnknown);
+  Query query(auditor);
+  query.Sample(1.0, 4.0, 4.0);
+  const QueryAccuracy report =
+      auditor.Score(Terminal(3, 2.0, /*finished=*/false), &query.trajectory);
+  EXPECT_FALSE(report.finished);
+  EXPECT_EQ(report.single.samples, 0);
+  EXPECT_EQ(report.multi.mape, kUnknown);
   const AccuracyAggregate agg = auditor.Aggregate();
   EXPECT_EQ(agg.queries_scored, 0u);
   EXPECT_EQ(agg.queries_aborted, 1u);
-  // Re-observing a retired id is ignored.
-  EXPECT_FALSE(auditor.Observe(Sample(3, 3.0, 1.0, 1.0)).has_value());
+  // Scoring retires the trajectory: it holds no reading any more.
+  EXPECT_EQ(query.trajectory.observed(), 0u);
 }
 
 TEST(AuditorTest, UnusableEstimatesAreSkippedNotScored) {
   EstimateAuditor auditor;
-  auditor.Observe(Sample(4, 1.0, kUnknown, 9.0));
-  auditor.Observe(Sample(4, 2.0, kInfiniteTime, 8.0));
-  auditor.Observe(Sample(4, 3.0, -2.0, 7.0));
-  auto report = auditor.Observe(Terminal(4, 10.0, /*finished=*/true));
-  ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(report->single.samples, 0);
-  EXPECT_EQ(report->single.mape, kUnknown);
-  EXPECT_EQ(report->multi.samples, 3);
-  EXPECT_NEAR(report->multi.mape, 0.0, 1e-12);
+  Query query(auditor);
+  query.Sample(1.0, kUnknown, 9.0);
+  query.Sample(2.0, kInfiniteTime, 8.0);
+  query.Sample(3.0, -2.0, 7.0);
+  const QueryAccuracy report =
+      auditor.Score(Terminal(4, 10.0, /*finished=*/true), &query.trajectory);
+  EXPECT_EQ(report.single.samples, 0);
+  EXPECT_EQ(report.single.mape, kUnknown);
+  EXPECT_EQ(report.multi.samples, 3);
+  EXPECT_NEAR(report.multi.mape, 0.0, 1e-12);
 }
 
 TEST(AuditorTest, CompletedRetentionIsBoundedButAggregateIsNot) {
@@ -269,8 +275,9 @@ TEST(AuditorTest, CompletedRetentionIsBoundedButAggregateIsNot) {
   options.retain_completed = 2;
   EstimateAuditor auditor(options);
   for (QueryId id = 1; id <= 3; ++id) {
-    auditor.Observe(Sample(id, 1.0, 9.0, 9.0));
-    auditor.Observe(Terminal(id, 10.0, /*finished=*/true));
+    Query query(auditor);
+    query.Sample(1.0, 9.0, 9.0);
+    auditor.Score(Terminal(id, 10.0, /*finished=*/true), &query.trajectory);
   }
   EXPECT_EQ(auditor.Completed().size(), 2u);
   EXPECT_EQ(auditor.ReportFor(1).status().code(), StatusCode::kNotFound);
@@ -282,17 +289,18 @@ TEST(AuditorTest, ConvergenceHealsAfterLateViolation) {
   AuditorOptions options;
   options.convergence_band = 0.10;
   EstimateAuditor auditor(options);
+  Query query(auditor);
   // Truth at t is 10 - t. In band at t=1..3, way off at t=4, back in
   // band t=5..9: converged_at must be 5, not 1.
   for (int t = 1; t <= 9; ++t) {
     const double truth = 10.0 - t;
     const double estimate = t == 4 ? 2.0 * truth : truth;
-    auditor.Observe(Sample(5, t, estimate, estimate));
+    query.Sample(t, estimate, estimate);
   }
-  auto report = auditor.Observe(Terminal(5, 10.0, /*finished=*/true));
-  ASSERT_TRUE(report.has_value());
-  EXPECT_DOUBLE_EQ(report->multi.converged_at, 5.0);
-  EXPECT_NEAR(report->multi.converged_fraction, 0.5, 1e-12);
+  const QueryAccuracy report =
+      auditor.Score(Terminal(5, 10.0, /*finished=*/true), &query.trajectory);
+  EXPECT_DOUBLE_EQ(report.multi.converged_at, 5.0);
+  EXPECT_NEAR(report.multi.converged_fraction, 0.5, 1e-12);
 }
 
 TEST(AuditorTest, TruthResolutionForgivesSubResolutionError) {
@@ -305,25 +313,25 @@ TEST(AuditorTest, TruthResolutionForgivesSubResolutionError) {
     AuditorOptions options;
     options.truth_resolution = resolution;
     EstimateAuditor auditor(options);
+    Query query(auditor);
     for (int i = 1; i <= 99; ++i) {
       const double t = 0.1 * i;
-      auditor.Observe(Sample(9, t, 10.0 - t, 10.0 - t));
+      query.Sample(t, 10.0 - t, 10.0 - t);
     }
-    return auditor.Observe(Terminal(9, 10.1, /*finished=*/true));
+    return auditor.Score(Terminal(9, 10.1, /*finished=*/true),
+                         &query.trajectory);
   };
 
   auto forgiving = run(/*resolution=*/0.2);
-  ASSERT_TRUE(forgiving.has_value());
-  EXPECT_DOUBLE_EQ(forgiving->multi.mape, 0.0);
-  EXPECT_DOUBLE_EQ(forgiving->multi.bias, 0.0);
-  EXPECT_NEAR(forgiving->multi.converged_at, 0.1, 1e-12);
+  EXPECT_DOUBLE_EQ(forgiving.multi.mape, 0.0);
+  EXPECT_DOUBLE_EQ(forgiving.multi.bias, 0.0);
+  EXPECT_NEAR(forgiving.multi.converged_at, 0.1, 1e-12);
 
   auto raw = run(/*resolution=*/0.0);
-  ASSERT_TRUE(raw.has_value());
-  EXPECT_GT(raw->multi.mape, 0.0);
+  EXPECT_GT(raw.multi.mape, 0.0);
   // The final scored sample (truth 0.3, estimate 0.2) is out of the 10%
   // band, so the raw trajectory never converges.
-  EXPECT_EQ(raw->multi.converged_at, kUnknown);
+  EXPECT_EQ(raw.multi.converged_at, kUnknown);
 }
 
 TEST(AuditorTest, LongQueriesAreScoredOverTheirWholeLife) {
@@ -331,47 +339,60 @@ TEST(AuditorTest, LongQueriesAreScoredOverTheirWholeLife) {
   // The estimate is exact for the first half and 1.5x the truth for the
   // second: one upward jump at the switch, then a steady countdown.
   EstimateAuditor auditor;
+  Query query(auditor);
   const SimTime finish = 1000.1;
   for (int i = 1; i <= 10000; ++i) {
     const SimTime t = 0.1 * i;
     const double truth = finish - t;
     const double estimate = i <= 5000 ? truth : 1.5 * truth;
-    auditor.Observe(Sample(10, t, estimate, estimate));
-    ASSERT_LE(auditor.retained_samples(),
+    query.Sample(t, estimate, estimate);
+    ASSERT_LE(query.trajectory.retained(),
               auditor.options().max_samples_per_query);
   }
-  auto report = auditor.Observe(Terminal(10, finish, /*finished=*/true));
-  ASSERT_TRUE(report.has_value());
+  const QueryAccuracy report =
+      auditor.Score(Terminal(10, finish, /*finished=*/true), &query.trajectory);
   // Scored samples exclude truths under 2% of the lifetime, so the
   // second half contributes 4800 of 9800 samples at 50% error.
-  EXPECT_NEAR(report->multi.mape, 0.245, 0.01);
-  EXPECT_NEAR(report->multi.bias, 0.245, 0.01);
-  EXPECT_EQ(report->multi.converged_at, kUnknown);
-  EXPECT_EQ(report->multi.monotonicity_violations, 1);
-  EXPECT_EQ(auditor.retained_samples(), 0u);  // scoring frees them
+  EXPECT_NEAR(report.multi.mape, 0.245, 0.01);
+  EXPECT_NEAR(report.multi.bias, 0.245, 0.01);
+  EXPECT_EQ(report.multi.converged_at, kUnknown);
+  EXPECT_EQ(report.multi.monotonicity_violations, 1);
+  EXPECT_EQ(query.trajectory.retained(), 0u);  // scoring frees them
 }
 
 TEST(AuditorTest, OverBudgetTrajectoriesThinUniformly) {
   AuditorOptions options;
   options.max_samples_per_query = 4;
   EstimateAuditor auditor(options);
-  // Nine observations at t = 1..9 into a budget of 4: the fifth halves
+  Query query(auditor);
+  // Nine readings at t = 1..9 into a budget of 4: the fifth halves
   // the trajectory to t = 1, 3 (stride 2) and keeps t = 5; the ninth
   // halves it again to t = 1, 5 (stride 4) and keeps t = 9.
   const std::size_t retained[] = {1, 2, 3, 4, 3, 3, 4, 4, 3};
   for (int t = 1; t <= 9; ++t) {
-    auditor.Observe(Sample(1, t, 10.0 - t, 10.0 - t));
-    EXPECT_EQ(auditor.retained_samples(), retained[t - 1]) << "t=" << t;
+    query.Sample(t, 10.0 - t, 10.0 - t);
+    EXPECT_EQ(query.retained, retained[t - 1]) << "t=" << t;
   }
-  EXPECT_EQ(auditor.live_queries(), 1u);
-  auto report = auditor.Observe(Terminal(1, 10.0, /*finished=*/true));
-  ASSERT_TRUE(report.has_value());
-  EXPECT_EQ(report->multi.samples, 3);
-  EXPECT_DOUBLE_EQ(report->multi.converged_at, 1.0);
-  EXPECT_EQ(auditor.live_queries(), 0u);
+  EXPECT_GT(query.trajectory.observed(), 0u);
+  const QueryAccuracy report =
+      auditor.Score(Terminal(1, 10.0, /*finished=*/true), &query.trajectory);
+  EXPECT_EQ(report.multi.samples, 3);
+  EXPECT_DOUBLE_EQ(report.multi.converged_at, 1.0);
+  EXPECT_EQ(query.trajectory.observed(), 0u);
 }
 
 // ---- auditor through the service: the §2.2 standard case --------------------
+
+// Trajectories holding readings, and their retained samples, as of the
+// last audited snapshot.
+std::uint64_t AuditedQueries(service::PiService& service) {
+  return static_cast<std::uint64_t>(
+      service.metrics()->gauge("obs.auditor_queries")->value());
+}
+std::uint64_t AuditorSamples(service::PiService& service) {
+  return static_cast<std::uint64_t>(
+      service.metrics()->gauge("obs.auditor_samples")->value());
+}
 
 // Three queries of 100/200/300 U submitted together at C = 100 U/s,
 // zero noise: processor sharing finishes them at t = 3, 5, and 6. The
@@ -437,7 +458,7 @@ TEST(ServiceAuditTest, DisablingTheAuditorKeepsItEmpty) {
   ASSERT_TRUE(session->Submit(QuerySpec::Synthetic(50.0)).ok());
   ASSERT_TRUE(service.AdvanceUntilIdle(30.0).ok());
   EXPECT_EQ(service.auditor()->Aggregate().queries_scored, 0u);
-  EXPECT_EQ(service.auditor()->live_queries(), 0u);
+  EXPECT_EQ(AuditedQueries(service), 0u);
   session->Close();
 }
 
@@ -563,7 +584,7 @@ TEST(ServiceAuditTest, EveryTerminalQueryIsFedExactlyOnce) {
       ++(query.terminal() ? terminal : live);
     }
     const AccuracyAggregate agg = auditor->Aggregate();
-    EXPECT_EQ(auditor->live_queries(), live);
+    EXPECT_EQ(AuditedQueries(service), live);
     EXPECT_EQ(agg.queries_scored + agg.queries_aborted, terminal);
   };
 
@@ -612,8 +633,8 @@ TEST(ServiceAuditTest, EveryTerminalQueryIsFedExactlyOnce) {
   const AccuracyAggregate agg = auditor->Aggregate();
   EXPECT_EQ(agg.queries_scored, 3u);
   EXPECT_EQ(agg.queries_aborted, 3u);
-  EXPECT_EQ(auditor->live_queries(), 0u);
-  EXPECT_EQ(auditor->retained_samples(), 0u);
+  EXPECT_EQ(AuditedQueries(service), 0u);
+  EXPECT_EQ(AuditorSamples(service), 0u);
   EXPECT_EQ(service.metrics()->gauge("obs.auditor_samples")->value(), 0.0);
   session->Close();
 }
@@ -640,7 +661,7 @@ TEST(ServiceAuditTest, TerminalQueriesFedOnceAcrossDelayLongerThanRetention) {
   auto survivor = session->Submit(QuerySpec::Synthetic(1e3));
   ASSERT_TRUE(cancelled.ok() && survivor.ok());
   ASSERT_TRUE(service.Advance(0.1).ok());
-  EXPECT_EQ(auditor->live_queries(), 2u);
+  EXPECT_EQ(AuditedQueries(service), 2u);
 
   // Six delayed quanta, three times the window.
   injector.ArmSchedule(fault::kServicePublishDelay, {0, 1, 2, 3, 4, 5});
@@ -663,7 +684,7 @@ TEST(ServiceAuditTest, TerminalQueriesFedOnceAcrossDelayLongerThanRetention) {
   ASSERT_NE(snapshot->Find(*survivor), nullptr);
   EXPECT_EQ(auditor->Aggregate().queries_scored, 1u);
   EXPECT_EQ(auditor->Aggregate().queries_aborted, 1u);
-  EXPECT_EQ(auditor->live_queries(), 1u);
+  EXPECT_EQ(AuditedQueries(service), 1u);
   ASSERT_TRUE(auditor->ReportFor(*quick).ok());
   EXPECT_TRUE(auditor->ReportFor(*quick)->finished);
   ASSERT_TRUE(auditor->ReportFor(*cancelled).ok());
@@ -676,8 +697,152 @@ TEST(ServiceAuditTest, TerminalQueriesFedOnceAcrossDelayLongerThanRetention) {
   const AccuracyAggregate agg = auditor->Aggregate();
   EXPECT_EQ(agg.queries_scored, 2u);
   EXPECT_EQ(agg.queries_aborted, 1u);
-  EXPECT_EQ(auditor->live_queries(), 0u);
-  EXPECT_EQ(auditor->retained_samples(), 0u);
+  EXPECT_EQ(AuditedQueries(service), 0u);
+  EXPECT_EQ(AuditorSamples(service), 0u);
+  session->Close();
+}
+
+// Pins the accuracy outputs of one seeded manual run bit for bit: every
+// completed report, the aggregate, and the accuracy families of the
+// Prometheus exposition. The run takes each path that decides which
+// estimates are sampled and when a query is scored: arrivals into an
+// MPL-capped queue, cancellations of running and queued queries,
+// publication outages longer than a 2-quantum retention window, and a
+// PublishNow and a BuildUnpublishedSnapshot inside outages (neither
+// samples, but both expire rows whose queries are not scored yet).
+TEST(ServiceAuditTest, AccuracyOutputsDigestIsPinned) {
+  storage::Catalog catalog;
+  fault::FaultInjector injector;
+  service::PiServiceOptions options;
+  options.rdbms.processing_rate = 100.0;
+  options.rdbms.quantum = 0.1;
+  options.rdbms.max_concurrent = 4;
+  options.start_ticker = false;
+  options.fault = &injector;
+  options.terminal_retention_quanta = 2;
+  service::PiService service(&catalog, options);
+  auto session = service.OpenSession("golden");
+
+  // One evaluation per stepped quantum: outages of 6, 5 and 8 quanta.
+  std::vector<std::uint64_t> outages;
+  for (std::uint64_t q = 40; q < 46; ++q) outages.push_back(q);
+  for (std::uint64_t q = 120; q < 125; ++q) outages.push_back(q);
+  for (std::uint64_t q = 200; q < 208; ++q) outages.push_back(q);
+  injector.ArmSchedule(fault::kServicePublishDelay, outages);
+
+  Rng rng(34);
+  constexpr Priority kPriorities[] = {Priority::kLow, Priority::kNormal,
+                                      Priority::kHigh};
+  const auto priority = [&] { return kPriorities[rng.UniformInt(0, 2)]; };
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(
+        session->Submit(QuerySpec::Synthetic(rng.Uniform(20, 200)), priority())
+            .ok());
+  }
+  SimTime arrival = 0.0;
+  for (int i = 0; i < 40; ++i) {
+    arrival += rng.Exponential(0.8);
+    const double cost = rng.Uniform(20, 200);
+    ASSERT_TRUE(
+        session->SubmitAt(arrival, QuerySpec::Synthetic(cost), priority())
+            .ok());
+  }
+
+  // Cancels the first (usually running) or last (usually queued) live
+  // row of the latest snapshot; a row that already finished refuses.
+  const auto cancel = [&](bool first) {
+    const auto snapshot = service.snapshot();
+    const service::QueryProgress* victim = nullptr;
+    for (const service::QueryProgress& query : snapshot->queries) {
+      if (query.terminal()) continue;
+      victim = &query;
+      if (first) break;
+    }
+    if (victim != nullptr) (void)session->Abort(victim->id);
+  };
+  for (int quantum = 0; quantum < 2000 && !service.Idle(); ++quantum) {
+    if (quantum % 37 == 8 || quantum == 39 || quantum == 119 ||
+        quantum == 199) {
+      cancel(/*first=*/quantum % 2 == 0);
+    }
+    if (quantum == 44) service.PublishNow();
+    if (quantum == 123) (void)service.BuildUnpublishedSnapshot();
+    ASSERT_TRUE(service.Advance(0.1).ok());
+  }
+  ASSERT_TRUE(service.Idle());
+  ASSERT_EQ(service.metrics()->counter("service.stale_snapshots")->value(),
+            19u);
+
+  std::uint64_t digest = 14695981039346656037ULL;
+  const auto mix = [&digest](std::uint64_t word) {
+    for (int byte = 0; byte < 8; ++byte) {
+      digest ^= (word >> (8 * byte)) & 0xff;
+      digest *= 1099511628211ULL;
+    }
+  };
+  const auto bits = [](double value) {
+    std::uint64_t out;
+    std::memcpy(&out, &value, sizeof out);
+    return out;
+  };
+  const auto mix_score = [&](const EstimatorScore& score) {
+    mix(static_cast<std::uint64_t>(score.samples));
+    mix(bits(score.mape));
+    mix(bits(score.bias));
+    mix(static_cast<std::uint64_t>(score.monotonicity_violations));
+    mix(bits(score.converged_at));
+    mix(bits(score.converged_fraction));
+  };
+  const std::vector<QueryAccuracy> completed = service.auditor()->Completed();
+  for (const QueryAccuracy& report : completed) {
+    mix(report.id);
+    mix(static_cast<std::uint64_t>(report.priority));
+    mix(report.finished ? 1 : 0);
+    mix(bits(report.arrival_time));
+    mix(bits(report.finish_time));
+    mix(bits(report.lifetime));
+    mix_score(report.single);
+    mix_score(report.multi);
+  }
+  const AccuracyAggregate agg = service.auditor()->Aggregate();
+  for (const std::uint64_t count :
+       {agg.queries_scored, agg.queries_aborted,
+        agg.monotonicity_violations_single, agg.monotonicity_violations_multi,
+        agg.never_converged_single, agg.never_converged_multi}) {
+    mix(count);
+  }
+  for (const double mean :
+       {agg.mean_mape_single, agg.mean_mape_multi, agg.mean_bias_single,
+        agg.mean_bias_multi, agg.mean_converged_fraction_single,
+        agg.mean_converged_fraction_multi}) {
+    mix(bits(mean));
+  }
+  // The accuracy families' sample lines, histograms expanded.
+  const std::vector<std::string> families = {
+      "pi_estimate_mape", "pi_estimate_bias", "pi_monotonicity_violations",
+      "pi_queries_scored", "obs_auditor_samples"};
+  std::istringstream prom(service.metrics()->PrometheusDump());
+  std::string line;
+  int exposed = 0;
+  while (std::getline(prom, line)) {
+    std::string name = line.substr(0, line.find_first_of("{ "));
+    for (const char* suffix : {"_bucket", "_sum", "_count"}) {
+      if (name.ends_with(suffix)) {
+        name.resize(name.size() - std::string(suffix).size());
+      }
+    }
+    if (std::find(families.begin(), families.end(), name) == families.end()) {
+      continue;
+    }
+    ++exposed;
+    for (const char c : line) mix(static_cast<unsigned char>(c));
+  }
+
+  EXPECT_EQ(completed.size(), 46u);
+  EXPECT_GT(agg.queries_scored, 30u);
+  EXPECT_GT(agg.queries_aborted, 5u);
+  EXPECT_GT(exposed, 50);
+  EXPECT_EQ(digest, 458553549189368703ULL);
   session->Close();
 }
 

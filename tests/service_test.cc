@@ -420,6 +420,46 @@ TEST(ServiceManualTest, SteadyFastPathQuantaRunNoSimulation) {
   EXPECT_TRUE(session->Close().ok());
 }
 
+TEST(ServiceManualTest, EstimatorPathGaugeNamesTheServingEstimator) {
+  // pi.estimator_path{path} says which estimator served the last
+  // snapshot, with exactly one series at 1: the stage sweep while every
+  // query runs, the simulator once a query waits behind the MPL cap.
+  storage::Catalog catalog;
+  auto options = ManualOptions();
+  options.rdbms.max_concurrent = 2;
+  PiService service(&catalog, options);
+  auto session = service.OpenSession("paths");
+  const auto serving = [&] {
+    std::vector<std::string> at_one;
+    std::istringstream dump(service.metrics()->TextDump());
+    std::string kind, name, value;
+    while (dump >> kind >> name >> value) {
+      if (name.starts_with("pi.estimator_path{") && value == "1") {
+        at_one.push_back(name);
+      }
+    }
+    return at_one;
+  };
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(session->Submit(QuerySpec::Synthetic(1e4)).ok());
+  }
+  ASSERT_TRUE(service.Advance(0.1).ok());
+  ASSERT_EQ(service.snapshot()->num_running, 2);
+  EXPECT_EQ(serving(),
+            std::vector<std::string>{"pi.estimator_path{path=sweep}"});
+
+  ASSERT_TRUE(session->Submit(QuerySpec::Synthetic(1e4)).ok());
+  ASSERT_TRUE(service.Advance(0.1).ok());
+  ASSERT_EQ(service.snapshot()->num_queued, 1);
+  EXPECT_EQ(serving(),
+            std::vector<std::string>{"pi.estimator_path{path=simulator}"});
+  EXPECT_EQ(service.metrics()
+                ->gauge("pi.estimator_path", {{"path", "sweep"}})
+                ->value(),
+            0.0);
+  EXPECT_TRUE(session->Close().ok());
+}
+
 // The PI's exported totals, by the name the service registers them
 // under.
 struct PiSeries {

@@ -80,7 +80,8 @@ done
 
 # Gauges the liveness contract shares between /healthz and the
 # watchdog, the rate-assumption gauge accuracy dashboards read
-# (pi.rate_ratio: measured rate over configured C), and the fan-out's
+# (pi.rate_ratio: measured rate over configured C), the estimator that
+# served the last snapshot (pi.estimator_path{path}), and the fan-out's
 # retained-state gauge (net.snapshot_rows: rows behind the latest
 # shared frame).
 required_gauges="
@@ -88,6 +89,7 @@ service.uptime_quanta
 service.ticker_last_step_age_quanta
 coord.shards
 pi.rate_ratio
+pi.estimator_path
 net.snapshot_rows
 "
 for name in $required_gauges; do
